@@ -173,8 +173,9 @@ let spawn_nodes profile ~queue_capacity names =
     (fun name ->
       Cluster.spawn_local ~name (fun socket ->
           ignore
-            (Server.serve ~socket ~name ~shards:1 ~queue_capacity
-               ~keep_verdicts:false profile)))
+            (Server.serve ~socket ~name
+               (Daemon.create ~shards:1 ~queue_capacity ~keep_verdicts:false
+                  profile))))
     names
 
 (* [route_burst] times the {e ingest window}: offering the whole
@@ -347,8 +348,8 @@ let observability profile stream =
         (fun name ->
           Cluster.spawn_local ~name (fun socket ->
               ignore
-                (Server.serve ~socket ~name ~shards:1 ~queue_capacity:ample
-                   profile)))
+                (Server.serve ~socket ~name
+                   (Daemon.create ~shards:1 ~queue_capacity:ample profile))))
         [ "alpha"; "beta" ]
     in
     let scraper =
@@ -420,11 +421,16 @@ let integrity profile stream =
       (fun name ->
         Cluster.spawn_local ~name (fun socket ->
             ignore
-              (Server.serve ~socket ~name ~shards:2 ~queue_capacity:ample profile)))
+              (Server.serve ~socket ~name
+                 (Daemon.create ~shards:2 ~queue_capacity:ample profile))))
       [ "alpha"; "beta" ]
   in
   let merged, _ = route_burst nodes stream in
-  let single = Replay.run ~shards:2 ~queue_capacity:ample profile stream in
+  let single =
+    Replay.run_items
+      (Daemon.create ~shards:2 ~queue_capacity:ample profile)
+      (Array.map (fun ev -> Transport.Call ev) stream)
+  in
   let s = single.Replay.summary and m = merged.Frame.summary in
   let ok =
     s.Daemon.events_ingested = m.Daemon.events_ingested

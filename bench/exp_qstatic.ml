@@ -43,14 +43,18 @@ let run () =
       (Adprom.Pipeline.collect_outcomes app)
   in
   let engine mode =
-    let e = Adprom.Qsig.engine qsig in
-    (match mode with
-    | `Off -> ()
-    | `Explain | `Enforce ->
-        Engine.set_static_signatures e ~complete:static.Qstatic.complete
-          static.Qstatic.signatures;
-        Engine.set_gate_enforce e (mode = `Enforce));
-    e
+    let static_signatures =
+      match mode with
+      | `Off -> None
+      | `Explain | `Enforce ->
+          Some
+            {
+              Engine.signatures = static.Qstatic.signatures;
+              complete = static.Qstatic.complete;
+            }
+    in
+    Engine.create ?static_signatures ~gate_enforce:(mode = `Enforce)
+      (Adprom.Qsig.profile qsig)
   in
   (* explain must be bit-for-bit: same verdict records on the same traffic *)
   let e_off = engine `Off and e_explain = engine `Explain in

@@ -52,9 +52,9 @@ let measure ~name ~profile ~auto ws =
   (* cache_capacity 0: no memo, every classify pays the full forward
      pass — the comparison isolates the gate, not the memo *)
   let off = Scoring.create ~cache_capacity:0 profile in
-  let enf = Scoring.create ~cache_capacity:0 profile in
-  Scoring.set_static_dfa enf (Some auto);
-  Scoring.set_gate_enforce enf true;
+  let enf =
+    Scoring.create ~cache_capacity:0 ~static_dfa:auto ~gate_enforce:true profile
+  in
   let off_ms = time_passes off ws in
   let enforce_ms = time_passes enf ws in
   let rejected = Scoring.gate_rejections enf / passes () in

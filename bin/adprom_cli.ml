@@ -958,14 +958,14 @@ let record_cmd_run app_name output sessions seed wire =
                (fun i (_, (o : Runtime.Interp.outcome)) ->
                  List.map
                    (fun (sql, rows) ->
-                     Service.Codec.Query
-                       { Service.Codec.q_session = i; rows; sql })
+                     Service.Transport.Query
+                       { Service.Transport.q_session = i; rows; sql })
                    o.Runtime.Interp.query_log)
                runs)
         in
         let items =
           Array.append
-            (Array.map (fun ev -> Service.Codec.Call ev) stream)
+            (Array.map (fun ev -> Service.Transport.Call ev) stream)
             (Array.of_list queries)
         in
         let oc = open_out_bin output in
@@ -1010,92 +1010,114 @@ let leak_capabilities (analysis : Analysis.Analyzer.t) policy =
                 s.Analysis.Leakage.atoms)) ))
     summary.Analysis.Leakage.sinks
 
-let replay_cmd_run profile_path events_path shards capacity verify vet_program
-    vet_policy static_gate qsig_mode qsig_profile_path qsig_static_gate
-    leakage_policy_path log_level log_tail trace_out =
+(* The daemon's detection options, read once from the command line and
+   shared by replay and serve. The term yields a builder: the program
+   analysis and query-signature profile come from the subcommand
+   (replay loads them from files, serve trains them). *)
+type build_daemon =
+  ?alerts:Service.Alerts.t ->
+  program:Analysis.Analyzer.t option ->
+  qsig_profile:Adprom_qsig.Profile.t option ->
+  Adprom.Profile.t ->
+  (Service.Daemon.t, string) result
+
+let daemon_term : build_daemon Term.t =
+  let load_policy = function
+    | None -> Ok None
+    | Some p -> (
+        match Applang.Libspec.Sensitivity.load p with
+        | Ok pol -> Ok (Some pol)
+        | Error e -> Error (Printf.sprintf "cannot load --leakage-policy: %s" e))
+  in
+  let build shards capacity vet_policy static_gate qsig_mode qsig_static_gate
+      leak_policy ?alerts ~program ~qsig_profile profile =
+    let leakage =
+      match (leak_policy, program) with
+      | None, _ -> Ok None
+      | Some pol, Some analysis -> Ok (Some (leak_capabilities analysis pol))
+      | Some _, None ->
+          Error "--leakage-policy needs --vet-program (the program whose sinks it judges)"
+    in
+    match leakage with
+    | Error e -> Error e
+    | Ok leakage -> (
+        match
+          Service.Daemon.create ~shards ~queue_capacity:capacity ?alerts
+            ?vet_against:program ~vet_policy ~static_gate ~qsig_mode ?qsig_profile
+            ~qsig_static_gate ?leakage profile
+        with
+        | daemon -> Ok daemon
+        | exception Invalid_argument msg -> Error msg)
+  in
+  Term.(
+    const build $ shards_arg $ capacity_arg $ vet_policy_arg $ static_gate_arg
+    $ qsig_mode_arg $ qsig_static_gate_arg
+    $ term_result' (const load_policy $ leakage_policy_path_arg))
+
+let replay_cmd_run profile_path events_path verify vet_program qsig_profile_path
+    (build_daemon : build_daemon) log_level log_tail trace_out =
   obs_setup log_level trace_out;
-  match Adprom.Profile_io.load profile_path with
-  | Error msg -> `Error (false, Printf.sprintf "cannot load profile: %s" msg)
-  | Ok profile -> (
-      match decode_any (read_file events_path) with
-      | Error msg -> `Error (false, Printf.sprintf "cannot load events: %s" msg)
-      | Ok items -> (
-          let stream =
-            Array.of_list
-              (List.filter_map
-                 (function Service.Codec.Call ev -> Some ev | _ -> None)
-                 (Array.to_list items))
-          in
-          let vet_against =
-            match vet_program with
-            | None -> Ok None
-            | Some f -> (
-                match
-                  Analysis.Analyzer.analyze (Applang.Parser.parse_program (read_file f))
-                with
-                | analysis -> Ok (Some analysis)
-                | exception e -> Error (Printexc.to_string e))
-          in
-          let qsig_profile =
-            match qsig_profile_path with
-            | None -> Ok None
-            | Some p -> (
-                match Adprom_qsig.Profile.load p with
-                | Ok qp -> Ok (Some qp)
-                | Error e -> Error e)
-          in
-          let leakage =
-            match (leakage_policy_path, vet_against) with
-            | None, _ -> Ok None
-            | Some _, (Error _ | Ok None) ->
-                Error "--leakage-policy needs --vet-program (the program whose sinks it judges)"
-            | Some p, Ok (Some analysis) -> (
-                match Applang.Libspec.Sensitivity.load p with
-                | Ok pol -> Ok (Some (leak_capabilities analysis pol))
-                | Error e ->
-                    Error (Printf.sprintf "cannot load --leakage-policy: %s" e))
-          in
-          match (vet_against, qsig_profile, leakage) with
-          | Error msg, _, _ ->
-              `Error (false, Printf.sprintf "cannot analyze --vet-program: %s" msg)
-          | _, Error msg, _ ->
-              `Error (false, Printf.sprintf "cannot load --qsig-profile: %s" msg)
-          | _, _, Error msg -> `Error (false, msg)
-          | Ok vet_against, Ok qsig_profile, Ok leakage ->
+  let ( let* ) = Result.bind in
+  let loaded =
+    let* profile =
+      Result.map_error (Printf.sprintf "cannot load profile: %s")
+        (Adprom.Profile_io.load profile_path)
+    in
+    let* items =
+      Result.map_error (Printf.sprintf "cannot load events: %s")
+        (decode_any (read_file events_path))
+    in
+    let* program =
+      match vet_program with
+      | None -> Ok None
+      | Some f -> (
           match
-            (* with the axis off, run over the pure event stream: the
-               outcome is bit-for-bit the pre-qsig replay *)
-            match qsig_mode with
-            | Service.Daemon.Qsig_off ->
-                Service.Replay.run ~shards ~queue_capacity:capacity ?vet_against
-                  ~vet_policy ~static_gate ?leakage profile stream
-            | _ ->
-                Service.Replay.run_items ~shards ~queue_capacity:capacity
-                  ?vet_against ~vet_policy ~static_gate ~qsig_mode ?qsig_profile
-                  ~qsig_static_gate ?leakage profile items
+            Analysis.Analyzer.analyze (Applang.Parser.parse_program (read_file f))
           with
-          | exception Invalid_argument msg -> `Error (false, msg)
-          | outcome ->
-          print_outcome ~log_tail outcome;
-          obs_finish trace_out;
-          if verify then begin
-            let mismatches =
-              Service.Replay.verify_against_batch profile stream
-                outcome.Service.Replay.summary
-            in
-            if mismatches = [] then begin
-              Printf.printf "\nverify: live verdicts match batch detection exactly\n";
-              `Ok ()
-            end
-            else begin
-              Printf.printf "\nverify: %d MISMATCHES\n" (List.length mismatches);
-              List.iter
-                (fun m -> print_endline ("  " ^ Service.Replay.mismatch_to_string m))
-                mismatches;
-              `Error (false, "daemon diverged from batch detection")
-            end
-          end
-          else `Ok ()))
+          | analysis -> Ok (Some analysis)
+          | exception e ->
+              Error
+                (Printf.sprintf "cannot analyze --vet-program: %s"
+                   (Printexc.to_string e)))
+    in
+    let* qsig_profile =
+      match qsig_profile_path with
+      | None -> Ok None
+      | Some p ->
+          Result.map
+            (fun qp -> Some qp)
+            (Result.map_error (Printf.sprintf "cannot load --qsig-profile: %s")
+               (Adprom_qsig.Profile.load p))
+    in
+    let* daemon = build_daemon ~program ~qsig_profile profile in
+    Ok (profile, items, daemon)
+  in
+  match loaded with
+  | Error msg -> `Error (false, msg)
+  | Ok (profile, items, daemon) ->
+      (* with the query axis off, query items are accepted and ignored:
+         the outcome is bit-for-bit the replay of the call events alone *)
+      let outcome = Service.Replay.run_items daemon items in
+      print_outcome ~log_tail outcome;
+      obs_finish trace_out;
+      if verify then begin
+        let mismatches =
+          Service.Replay.verify_against_batch profile
+            (Service.Transport.calls items) outcome.Service.Replay.summary
+        in
+        if mismatches = [] then begin
+          Printf.printf "\nverify: live verdicts match batch detection exactly\n";
+          `Ok ()
+        end
+        else begin
+          Printf.printf "\nverify: %d MISMATCHES\n" (List.length mismatches);
+          List.iter
+            (fun m -> print_endline ("  " ^ Service.Replay.mismatch_to_string m))
+            mismatches;
+          `Error (false, "daemon diverged from batch detection")
+        end
+      end
+      else `Ok ()
 
 let events_file_arg =
   Arg.(
@@ -1126,31 +1148,15 @@ let replay_cmd =
           print per-session verdicts, incidents and metrics.")
     Term.(
       ret
-        (const replay_cmd_run $ profile_arg $ events_file_arg $ shards_arg $ capacity_arg
-       $ verify_flag $ vet_program_arg $ vet_policy_arg $ static_gate_arg
-       $ qsig_mode_arg $ qsig_profile_path_arg $ qsig_static_gate_arg
-       $ leakage_policy_path_arg $ log_level_arg $ log_tail_arg $ trace_out_arg))
+        (const replay_cmd_run $ profile_arg $ events_file_arg $ verify_flag
+       $ vet_program_arg $ qsig_profile_path_arg $ daemon_term $ log_level_arg
+       $ log_tail_arg $ trace_out_arg))
 
-let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
-    qsig_static_gate leakage_policy_path listen node_name log_level log_file
-    log_max_bytes log_tail trace_out =
+let serve_cmd_run app_name seed (build_daemon : build_daemon) listen node_name
+    log_level log_file log_max_bytes log_tail trace_out =
   match obs_setup ?log_file ?log_max_bytes log_level trace_out with
   | exception Invalid_argument msg -> `Error (false, msg)
   | () -> (
-  match
-    match leakage_policy_path with
-    | None -> Ok None
-    | Some p -> (
-        match Applang.Libspec.Sensitivity.load p with
-        | Ok pol -> Ok (Some pol)
-        | Error e -> Error e)
-  with
-  | Error msg ->
-      `Error (false, Printf.sprintf "cannot load --leakage-policy: %s" msg)
-  | Ok leak_policy -> (
-  let leakage_of analysis =
-    Option.map (leak_capabilities analysis) leak_policy
-  in
   match List.assoc_opt app_name (builtin_apps ()) with
   | None -> `Error (false, Printf.sprintf "unknown app %S; try `adprom list-apps`" app_name)
   | Some app when listen <> None -> (
@@ -1160,22 +1166,21 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
       Printf.printf "Training %s ...\n%!" app.Adprom.Pipeline.name;
       let dataset = Adprom.Pipeline.collect app in
       let profile = Adprom.Pipeline.train dataset in
-      let analysis = dataset.Adprom.Pipeline.analysis in
       let qsig = Adprom.Pipeline.train_qsig app in
-      match Service.Server.bind port with
-      | exception Unix.Unix_error (e, _, _) ->
-          `Error (false, Printf.sprintf "cannot listen on port %d: %s" port
-                    (Unix.error_message e))
-      | socket, port -> (
-          Printf.printf "node %s listening on 127.0.0.1:%d ...\n%!" node_name port;
-          match
-            Service.Server.serve ~socket ~name:node_name ~shards
-              ~queue_capacity:capacity ~vet_against:analysis ~vet_policy
-              ~static_gate ~qsig_mode ~qsig_profile:(Adprom.Qsig.profile qsig)
-              ~qsig_static_gate ?leakage:(leakage_of analysis) profile
-          with
-          | exception Invalid_argument msg -> `Error (false, msg)
-          | outcome ->
+      match
+        build_daemon ~program:(Some dataset.Adprom.Pipeline.analysis)
+          ~qsig_profile:(Some (Adprom.Qsig.profile qsig)) profile
+      with
+      | Error msg -> `Error (false, msg)
+      | Ok daemon -> (
+          match Service.Server.bind port with
+          | exception Unix.Unix_error (e, _, _) ->
+              ignore (Service.Daemon.drain daemon);
+              `Error (false, Printf.sprintf "cannot listen on port %d: %s" port
+                        (Unix.error_message e))
+          | socket, port ->
+              Printf.printf "node %s listening on 127.0.0.1:%d ...\n%!" node_name port;
+              let outcome = Service.Server.serve ~socket ~name:node_name daemon in
               print_outcome ~log_tail outcome;
               obs_finish trace_out;
               `Ok ()))
@@ -1227,9 +1232,6 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
       let stream =
         Adprom.Sessions.interleave ~rng (List.map (fun (_, t, _) -> t) sessions)
       in
-      Printf.printf "Serving %d sessions (%d normal, %d attack), %d events, %d shards ...\n%!"
-        (List.length sessions) (List.length normal) (List.length malicious)
-        (Array.length stream) shards;
       let alerts = Service.Alerts.create () in
       List.iteri
         (fun i (_, _, outcome) ->
@@ -1244,7 +1246,7 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
          the daemon's query axis sees the same traffic the auditor did *)
       let items =
         Array.append
-          (Array.map (fun ev -> Service.Codec.Call ev) stream)
+          (Array.map (fun ev -> Service.Transport.Call ev) stream)
           (Array.of_list
              (List.concat
                 (List.mapi
@@ -1254,22 +1256,25 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
                      | Some (o : Runtime.Interp.outcome) ->
                          List.map
                            (fun (sql, rows) ->
-                             Service.Codec.Query
-                               { Service.Codec.q_session = i; rows; sql })
+                             Service.Transport.Query
+                               { Service.Transport.q_session = i; rows; sql })
                            o.Runtime.Interp.query_log)
                    sessions)))
       in
       match
-        Service.Replay.run_items ~shards ~queue_capacity:capacity ~alerts
-          ~vet_against:analysis ~vet_policy ~static_gate ~qsig_mode
-          ~qsig_profile:(Adprom.Qsig.profile qsig) ~qsig_static_gate
-          ?leakage:(leakage_of analysis) profile items
+        build_daemon ~alerts ~program:(Some analysis)
+          ~qsig_profile:(Some (Adprom.Qsig.profile qsig)) profile
       with
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | outcome ->
+      | Error msg -> `Error (false, msg)
+      | Ok daemon ->
+          Printf.printf
+            "Serving %d sessions (%d normal, %d attack), %d events, %d shards ...\n%!"
+            (List.length sessions) (List.length normal) (List.length malicious)
+            (Array.length stream) (Service.Daemon.shard_count daemon);
+          let outcome = Service.Replay.run_items daemon items in
           print_outcome ~labels ~log_tail outcome;
           obs_finish trace_out;
-          `Ok ()))
+          `Ok ())
 
 let listen_arg =
   Arg.(
@@ -1298,10 +1303,9 @@ let serve_cmd =
           port as one node of a cluster instead (see `adprom route`).")
     Term.(
       ret
-        (const serve_cmd_run $ app_arg $ shards_arg $ capacity_arg $ seed_arg
-       $ vet_policy_arg $ static_gate_arg $ qsig_mode_arg $ qsig_static_gate_arg
-       $ leakage_policy_path_arg $ listen_arg $ node_name_arg $ log_level_arg
-       $ log_file_arg $ log_max_bytes_arg $ log_tail_arg $ trace_out_arg))
+        (const serve_cmd_run $ app_arg $ seed_arg $ daemon_term $ listen_arg
+       $ node_name_arg $ log_level_arg $ log_file_arg $ log_max_bytes_arg
+       $ log_tail_arg $ trace_out_arg))
 
 (* --- route: spray a recorded stream across serve nodes ----------------- *)
 
@@ -1865,12 +1869,7 @@ let explain_cmd_run profile_path events_path session window_idx top =
       match decode_any (read_file events_path) with
       | Error msg -> `Error (false, Printf.sprintf "cannot load events: %s" msg)
       | Ok items -> (
-          let stream =
-            Array.of_list
-              (List.filter_map
-                 (function Service.Codec.Call ev -> Some ev | _ -> None)
-                 (Array.to_list items))
-          in
+          let stream = Service.Transport.calls items in
           match List.assoc_opt session (Adprom.Sessions.demux stream) with
           | None -> `Error (false, Printf.sprintf "no session %d in %s" session events_path)
           | Some trace ->

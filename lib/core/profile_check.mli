@@ -30,7 +30,7 @@ val automaton :
   Analysis.Analyzer.t ->
   Analysis.Seqauto.t
 (** Build the program's call-sequence automaton in the profile's label
-    view, on the pruned CFGs — the form {!Scoring.set_static_dfa}
+    view, on the pruned CFGs — the form [Scoring.create ~static_dfa]
     expects and {!coverage}'s n-gram cross-check consumes. *)
 
 val model_bigrams : Profile.t -> Analysis.Symbol.t list list
@@ -61,7 +61,7 @@ val check :
 
 val static_pairs : ?entry:string -> Analysis.Analyzer.t -> (string * Analysis.Symbol.t) list
 (** The statically possible (caller, call) pairs of the analyzed
-    program — feed to {!Scoring.set_static_pairs} so explanations can
+    program — feed to [Scoring.create ~static_pairs] so explanations can
     name statically impossible pairs. *)
 
 val apply :

@@ -125,14 +125,14 @@ type t = {
   mutable next_caller_id : int;
   pair_stride : int;
   pair_codes : (int, unit) Hashtbl.t;  (* caller_id * stride + code + 1 *)
-  mutable static_pairs : (string * Symbol.t, unit) Hashtbl.t option;
+  static_pairs : (string * Symbol.t, unit) Hashtbl.t option;
       (* statically possible pairs (profile label view); explanation
          gating only, never consulted by [classify] *)
-  mutable static_dfa : Analysis.Seqauto.t option;
-  mutable dfa_codes : int array;
+  static_dfa : Analysis.Seqauto.t option;
+  dfa_codes : int array;
       (* profile alphabet code -> DFA symbol code; -1 = the automaton
          never emits this symbol (any window containing it is rejected) *)
-  mutable gate_enforce : bool;
+  gate_enforce : bool;
   mutable gate_checks : int;
   mutable gate_rejections : int;
   cache : cache;
@@ -151,13 +151,40 @@ let intern_caller t caller =
 
 let default_cache_capacity = 8192
 
-let create ?(cache_capacity = default_cache_capacity) profile =
+(* Pairs are projected through the profile's label view on the way in. *)
+let static_pair_table ~use_labels l =
+  let tbl = Hashtbl.create ((2 * List.length l) + 1) in
+  List.iter
+    (fun (caller, sym) ->
+      let sym = Symbol.observable sym in
+      let sym = if use_labels then sym else Symbol.strip_label sym in
+      Hashtbl.replace tbl (caller, sym) ())
+    l;
+  tbl
+
+let dfa_code_table profile = function
+  | None -> [||]
+  | Some a ->
+      if a.Analysis.Seqauto.use_labels <> profile.Profile.params.Profile.use_labels
+      then
+        invalid_arg
+          "Scoring.create: automaton label view differs from the profile's";
+      Array.map
+        (fun sym ->
+          match Analysis.Dfa.sym_code a.Analysis.Seqauto.dfa sym with
+          | Some c -> c
+          | None -> -1)
+        profile.Profile.alphabet
+
+let create ?(cache_capacity = default_cache_capacity) ?static_pairs ?static_dfa
+    ?(gate_enforce = false) profile =
   if cache_capacity < 0 then invalid_arg "Scoring.create: negative cache capacity";
+  let use_labels = profile.Profile.params.Profile.use_labels in
   let t =
     {
       profile;
       compiled = Hmm.Compiled.of_model profile.Profile.model;
-      use_labels = profile.Profile.params.Profile.use_labels;
+      use_labels;
       track_callers = profile.Profile.params.Profile.track_callers;
       labeled = Array.map Symbol.is_labeled profile.Profile.alphabet;
       threshold = profile.Profile.threshold;
@@ -165,10 +192,10 @@ let create ?(cache_capacity = default_cache_capacity) profile =
       next_caller_id = 0;
       pair_stride = Array.length profile.Profile.alphabet + 2;
       pair_codes = Hashtbl.create 256;
-      static_pairs = None;
-      static_dfa = None;
-      dfa_codes = [||];
-      gate_enforce = false;
+      static_pairs = Option.map (static_pair_table ~use_labels) static_pairs;
+      static_dfa;
+      dfa_codes = dfa_code_table profile static_dfa;
+      gate_enforce;
       gate_checks = 0;
       gate_rejections = 0;
       cache = cache_create cache_capacity;
@@ -199,52 +226,8 @@ let cache_capacity t = t.cache.capacity
 
 let invalidate t = cache_clear t.cache
 
-let set_static_pairs t pairs =
-  match pairs with
-  | None -> t.static_pairs <- None
-  | Some l ->
-      let tbl = Hashtbl.create ((2 * List.length l) + 1) in
-      List.iter
-        (fun (caller, sym) ->
-          let sym = Symbol.observable sym in
-          let sym = if t.use_labels then sym else Symbol.strip_label sym in
-          Hashtbl.replace tbl (caller, sym) ())
-        l;
-      t.static_pairs <- Some tbl
-
-let static_pairs_loaded t = t.static_pairs <> None
-
 (* --- the call-sequence automaton gate ----------------------------------- *)
 
-let set_static_dfa t auto =
-  (match auto with
-  | None ->
-      t.static_dfa <- None;
-      t.dfa_codes <- [||]
-  | Some a ->
-      if a.Analysis.Seqauto.use_labels <> t.use_labels then
-        invalid_arg
-          "Scoring.set_static_dfa: automaton label view differs from the profile's";
-      t.static_dfa <- Some a;
-      t.dfa_codes <-
-        Array.map
-          (fun sym ->
-            match Analysis.Dfa.sym_code a.Analysis.Seqauto.dfa sym with
-            | Some c -> c
-            | None -> -1)
-          t.profile.Profile.alphabet);
-  (* memoized verdicts may predate the gate *)
-  cache_clear t.cache
-
-let static_dfa_loaded t = t.static_dfa <> None
-
-let set_gate_enforce t on =
-  if on <> t.gate_enforce then begin
-    t.gate_enforce <- on;
-    cache_clear t.cache
-  end
-
-let gate_enforced t = t.gate_enforce
 let gate_checks t = t.gate_checks
 let gate_rejections t = t.gate_rejections
 
@@ -533,16 +516,13 @@ let explanation_to_string e =
                 top)))
 
 let extend t windows =
-  let t' = create ~cache_capacity:t.cache.capacity (Profile.extend t.profile windows) in
   (* Extension keeps the program (and its label view) fixed, so the
      static facts stay valid for the new engine. *)
-  t'.static_pairs <- t.static_pairs;
-  (match t.static_dfa with
-  | Some a ->
-      set_static_dfa t' (Some a);
-      set_gate_enforce t' t.gate_enforce
-  | None -> ());
-  t'
+  let t' =
+    create ~cache_capacity:t.cache.capacity ?static_dfa:t.static_dfa
+      ~gate_enforce:t.gate_enforce (Profile.extend t.profile windows)
+  in
+  { t' with static_pairs = t.static_pairs }
 
 (* --- per-profile engine cache (domain-local) ---------------------------- *)
 

@@ -37,10 +37,40 @@ type t
 val default_cache_capacity : int
 (** 8192 memoized verdicts. *)
 
-val create : ?cache_capacity:int -> Profile.t -> t
+val create :
+  ?cache_capacity:int ->
+  ?static_pairs:(string * Analysis.Symbol.t) list ->
+  ?static_dfa:Analysis.Seqauto.t ->
+  ?gate_enforce:bool ->
+  Profile.t ->
+  t
 (** Compile the profile. [cache_capacity 0] disables the verdict memo
     (every window pays the forward pass).
-    @raise Invalid_argument on a negative capacity. *)
+
+    The static gates are fixed here, for the engine's lifetime:
+
+    - [static_pairs] (e.g. [Profile_check.static_pairs]) are the
+      (caller, call) pairs the program can produce, projected through
+      the profile's label view. Explanation gating only: {!explain}
+      refines {!Unknown_pair} into {!Statically_impossible_pair} for
+      pairs outside the set, while {!classify} verdicts are those of an
+      engine without them.
+    - [static_dfa] is an {!Analysis.Seqauto} automaton whose language
+      over-approximates the library-call sequences the program can
+      emit. Without [gate_enforce] (the default, "explain" mode) it
+      only refines {!explain} output ({!Statically_impossible_window})
+      and {!classify} verdicts stay bit-for-bit those of an engine
+      without it. With [gate_enforce], {!classify} walks the window
+      through the DFA {e before} the memo and the forward pass: a
+      rejected window — one the static phase proved no execution can
+      produce — short-circuits to an anomalous verdict
+      ([score = neg_infinity], flag by the usual label/pair evidence)
+      without paying the O(window·n²) pass, and never enters the memo.
+      Without an automaton, [gate_enforce] gates nothing.
+
+    @raise Invalid_argument on a negative capacity, or when the
+    automaton was built under a different label view than the
+    profile's. *)
 
 val of_profile : Profile.t -> t
 (** The domain-local engine of this profile (physical identity): the
@@ -57,43 +87,6 @@ val threshold : t -> float
 val set_threshold : t -> float -> unit
 (** Override the detection threshold (adaptive monitoring); flushes the
     verdict memo when the value actually changes. *)
-
-val set_static_pairs : t -> (string * Analysis.Symbol.t) list option -> unit
-(** Load ([Some], e.g. [Analysis.Vet.facts] pairs) or clear ([None])
-    the statically possible (caller, call) pairs. Pairs are projected
-    through the profile's label view on the way in. Explanation gating
-    only: {!explain} refines {!Unknown_pair} into
-    {!Statically_impossible_pair} for pairs outside the set, while
-    {!classify} verdicts stay bit-for-bit unchanged (no memo flush). *)
-
-val static_pairs_loaded : t -> bool
-
-(** {1 The call-sequence automaton gate}
-
-    {!set_static_dfa} loads an {!Analysis.Seqauto} automaton whose
-    language over-approximates the library-call sequences the program
-    can emit. Loaded but not enforced ("explain" mode), it only refines
-    {!explain} output ({!Statically_impossible_window}) — {!classify}
-    verdicts stay bit-for-bit identical to an engine without it. With
-    {!set_gate_enforce}[ true], {!classify} walks the window through the
-    DFA {e before} the memo and the forward pass: a rejected window —
-    one the static phase proved no execution can produce — short-circuits
-    to an anomalous verdict ([score = neg_infinity], flag by the usual
-    label/pair evidence) without paying the O(window·n²) pass, and never
-    enters the memo. *)
-
-val set_static_dfa : t -> Analysis.Seqauto.t option -> unit
-(** Load ([Some]) or clear ([None]) the automaton; flushes the memo.
-    @raise Invalid_argument when the automaton was built under a
-    different label view than the profile's. *)
-
-val static_dfa_loaded : t -> bool
-
-val set_gate_enforce : t -> bool -> unit
-(** Toggle enforce mode (default off); flushes the memo on change.
-    Without a loaded automaton, enforce mode gates nothing. *)
-
-val gate_enforced : t -> bool
 
 val gate_checks : t -> int
 (** DFA walks performed — enforce-mode [classify] gates plus
@@ -127,12 +120,12 @@ type gate =
       (** an out-of-context pair the static analysis proved the program
           cannot produce at all — trace tampering or a profile/program
           mismatch rather than behavioural drift; requires
-          {!set_static_pairs}, otherwise such pairs report as
+          [static_pairs] at {!create}, otherwise such pairs report as
           {!Unknown_pair} *)
   | Statically_impossible_window
       (** every symbol and pair is known, but the call-sequence
           automaton proves no execution of the program emits this
-          window in this order — requires {!set_static_dfa} *)
+          window in this order — requires [static_dfa] at {!create} *)
   | Below_threshold  (** HMM likelihood under the detection threshold *)
 
 type contribution = {
@@ -158,7 +151,7 @@ type explanation = {
 val explain : ?top:int -> t -> Window.t -> explanation option
 (** [None] exactly when {!classify} returns [Normal]. Gate priority:
     [Unknown_symbol] over [Unknown_pair] / [Statically_impossible_pair]
-    (the latter when {!set_static_pairs} facts rule the pair out) over
+    (the latter when [static_pairs] facts rule the pair out) over
     [Below_threshold]. [top] (default 3) bounds the ranked
     contributions. Costs one extra forward pass over the window — only
     ever paid on anomalies. *)

@@ -37,6 +37,8 @@ type compiled = {
   gate_impossible : string option;
 }
 
+type static_signatures = { signatures : string list; complete : bool }
+
 (* The signature set Qstatic inferred for the monitored program. Only a
    [complete] set (no open call sites) may reject: an open site means
    the inference lost track of some query text, so absence proves
@@ -55,8 +57,8 @@ type t = {
   mutable checks : int;
   mutable anomalies : int;
   mutable parse_errors : int;
-  mutable static : static option;
-  mutable gate_enforce : bool;
+  static : static option;
+  gate_enforce : bool;
   mutable gate_checks : int;
   mutable gate_rejections : int;
 }
@@ -64,7 +66,7 @@ type t = {
 let default_memo_capacity = 4096
 
 let create ?(policy = Constraints.Strict) ?(memo_capacity = default_memo_capacity)
-    profile =
+    ?static_signatures ?(gate_enforce = false) profile =
   if memo_capacity < 0 then invalid_arg "Adprom_qsig.Engine.create: negative capacity";
   let keys = Profile.signatures profile in
   let codes = Hashtbl.create (List.length keys * 2) in
@@ -90,8 +92,14 @@ let create ?(policy = Constraints.Strict) ?(memo_capacity = default_memo_capacit
     checks = 0;
     anomalies = 0;
     parse_errors = 0;
-    static = None;
-    gate_enforce = false;
+    static =
+      Option.map
+        (fun { signatures; complete } ->
+          let static_set = Hashtbl.create (List.length signatures * 2) in
+          List.iter (fun k -> Hashtbl.replace static_set k ()) signatures;
+          { static_set; static_complete = complete })
+        static_signatures;
+    gate_enforce;
     gate_checks = 0;
     gate_rejections = 0;
   }
@@ -207,21 +215,6 @@ let memo_misses t = t.memo_misses
 let memo_len t = Hashtbl.length t.memo
 let invalidate t = Hashtbl.reset t.memo
 
-let set_static_signatures t ~complete keys =
-  let static_set = Hashtbl.create (List.length keys * 2) in
-  List.iter (fun k -> Hashtbl.replace static_set k ()) keys;
-  t.static <- Some { static_set; static_complete = complete };
-  (* Memoized entries were compiled against the previous (or no) static
-     set; their cached gate verdicts are stale. *)
-  invalidate t
-
-let clear_static_signatures t =
-  t.static <- None;
-  invalidate t
-
-let static_signatures_loaded t = t.static <> None
-let set_gate_enforce t on = t.gate_enforce <- on
-let gate_enforced t = t.gate_enforce
 let gate_checks t = t.gate_checks
 let gate_rejections t = t.gate_rejections
 

@@ -39,10 +39,24 @@ type t
 val default_memo_capacity : int
 (** 4096 memoized query texts. *)
 
+type static_signatures = {
+  signatures : string list;  (** canonical signature texts *)
+  complete : bool;  (** the inference closed every query site *)
+}
+(** The monitored program's statically inferred signature set
+    ({!Analysis.Qstatic}), the input of the static-signature gate. *)
+
 val create :
-  ?policy:Constraints.policy -> ?memo_capacity:int -> Profile.t -> t
+  ?policy:Constraints.policy ->
+  ?memo_capacity:int ->
+  ?static_signatures:static_signatures ->
+  ?gate_enforce:bool ->
+  Profile.t ->
+  t
 (** Compile the profile under a policy (default [Strict]).
-    [memo_capacity 0] disables the memo.
+    [memo_capacity 0] disables the memo. [static_signatures] and
+    [gate_enforce] (default [false], explain mode) fix the
+    static-signature gate below for the engine's lifetime.
     @raise Invalid_argument on a negative capacity. *)
 
 val profile : t -> Profile.t
@@ -70,36 +84,21 @@ val invalidate : t -> unit
 (** {2 Static-signature gate}
 
     The pre-scoring gate over {!Analysis.Qstatic} results, mirroring
-    [Adprom.Scoring.set_static_dfa] on the sequence axis. Load the
-    program's statically inferred signature set with
-    {!set_static_signatures}; every {!check} then counts one gate check
-    and, when the query's canonical signature is provably outside the
-    set, one gate rejection. In explain mode (the default) the verdict
-    is bit-for-bit what the ungated engine returns — only the counters
-    move. Under {!set_gate_enforce} the check short-circuits before the
-    constraint layer with an [Impossible_signature] anomaly.
+    the [static_dfa] gate of [Adprom.Scoring.create] on the sequence
+    axis. With [static_signatures] given at {!create}, every {!check}
+    counts one gate check and, when the query's canonical signature is
+    provably outside the set, one gate rejection. In explain mode (the
+    default) the verdict is bit-for-bit what the ungated engine returns
+    — only the counters move. With [gate_enforce] the check
+    short-circuits before the constraint layer with an
+    [Impossible_signature] anomaly.
 
-    An incomplete static set ([complete:false] — the inference left an
+    An incomplete static set ([complete = false] — the inference left an
     open call site) never rejects: absence from an under-approximated
     set proves nothing. Malformed texts are never gate-rejected. *)
 
-val set_static_signatures : t -> complete:bool -> string list -> unit
-(** Install the static signature set (flushes the memo — cached gate
-    verdicts would be stale). *)
-
-val clear_static_signatures : t -> unit
-(** Remove the static set; the gate becomes inert. *)
-
-val static_signatures_loaded : t -> bool
-
-val set_gate_enforce : t -> bool -> unit
-(** [false] (default) is explain mode; [true] turns gate hits into
-    [Impossible_signature] anomalies. *)
-
-val gate_enforced : t -> bool
-
 val gate_checks : t -> int
-(** Checks performed while a static set was loaded. *)
+(** Checks performed by an engine created with a static set. *)
 
 val gate_rejections : t -> int
 (** Gate hits — would-be rejections in explain mode, actual anomalies

@@ -44,8 +44,8 @@ module Oclock = Adprom_obs.Clock
 (* Items are stamped with the monotonic clock at admission so workers
    can report queue wait and ingest→verdict (end-to-end) latency. *)
 type message =
-  | Event of Codec.event * int64  (* payload, enqueue monotonic ns *)
-  | Query of Codec.query * int64
+  | Event of Transport.event * int64  (* payload, enqueue monotonic ns *)
+  | Query of Transport.query * int64
   | Shed of int  (* discard this session's scorer; ignore later events *)
 
 (* End-to-end latency spans queueing, so it needs headroom past the
@@ -90,10 +90,25 @@ type summary = {
 
 type admission = Accepted | Rejected of { newly_shed : bool }
 
-type t = {
+(* Everything the workers share, settled once before any domain spawns
+   and read-only afterwards: the profile, the static evidence each
+   worker compiles into its engines, and the sinks. *)
+type plan = {
   profile : Profile.t;
-  capacity : int;
   keep_verdicts : bool;
+  static_pairs : (string * Analysis.Symbol.t) list option;
+  static_dfa : Analysis.Seqauto.t option;
+  dfa_enforce : bool;
+  qsig : (Adprom_qsig.Profile.t * Adprom_qsig.Constraints.policy) option;
+  qsig_static : Adprom_qsig.Engine.static_signatures option;
+  qsig_enforce : bool;
+  leakage : (int * string) list;  (* sink block -> leak capability *)
+  metrics : Metrics.t;
+  alerts : Alerts.t;
+}
+
+type t = {
+  capacity : int;
   qsig_active : bool;
   shards : shard array;
   workers : shard_result Domain.t array;
@@ -129,31 +144,23 @@ let flag_counter_names =
 
 let shard_of t session = Hashtbl.hash session mod Array.length t.shards
 
-let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
-    ~qsig ~qsig_static ~leakage ~metrics ~alerts ~ring shard =
+let worker plan ~idx ~ring shard =
+  let { keep_verdicts; leakage; metrics; alerts; _ } = plan in
   (* one compiled engine per worker domain: every session of this shard
      shares its interned tables and verdict memo *)
-  let engine = Scoring.create profile in
-  Scoring.set_static_pairs engine static_pairs;
-  (match static_auto with
-  | Some auto ->
-      Scoring.set_static_dfa engine (Some auto);
-      Scoring.set_gate_enforce engine gate_enforce
-  | None -> ());
+  let engine =
+    Scoring.create ?static_pairs:plan.static_pairs ?static_dfa:plan.static_dfa
+      ~gate_enforce:plan.dfa_enforce plan.profile
+  in
   (* the query axis mirrors the sequence axis: one compiled qsig engine
      per worker (interned signature codes, shared memo), one streaming
      scorer per session *)
   let qsig_engine =
-    match qsig with
-    | None -> None
-    | Some (qprofile, policy) ->
-        let qe = Adprom_qsig.Engine.create ~policy qprofile in
-        (match qsig_static with
-        | Some (sigs, complete, enforce) ->
-            Adprom_qsig.Engine.set_static_signatures qe ~complete sigs;
-            Adprom_qsig.Engine.set_gate_enforce qe enforce
-        | None -> ());
-        Some qe
+    Option.map
+      (fun (qprofile, policy) ->
+        Adprom_qsig.Engine.create ~policy ?static_signatures:plan.qsig_static
+          ~gate_enforce:plan.qsig_enforce qprofile)
+      plan.qsig
   in
   let qsig_scorers : (int, Adprom_qsig.Engine.Scorer.t) Hashtbl.t =
     Hashtbl.create 16
@@ -172,62 +179,47 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
   let h_e2e =
     Metrics.histogram ~buckets:e2e_buckets metrics "adprom_e2e_latency_seconds"
   in
-  let c_hits = Metrics.counter metrics "adprom_score_cache_hits_total" in
-  let c_misses = Metrics.counter metrics "adprom_score_cache_misses_total" in
   let c_scorer_errors = Metrics.counter metrics "adprom_scorer_errors_total" in
-  let c_gate_checks = Metrics.counter metrics "adprom_dfa_gate_checks_total" in
-  let c_gate_rejections =
-    Metrics.counter metrics "adprom_dfa_gate_rejections_total"
-  in
   let c_qsig_checks = Metrics.counter metrics "adprom_qsig_checks_total" in
   let c_qsig_anomalies =
     Metrics.counter metrics "adprom_qsig_anomalies_total"
   in
-  let c_qgate_checks =
-    Metrics.counter metrics "adprom_qsig_gate_checks_total"
-  in
-  let c_qgate_rejections =
-    Metrics.counter metrics "adprom_qsig_gate_rejections_total"
-  in
   let c_leak_capable =
     Metrics.counter metrics "adprom_leak_capable_incidents_total"
   in
-  let seen_hits = ref 0 and seen_misses = ref 0 in
-  let seen_gate_checks = ref 0 and seen_gate_rejections = ref 0 in
-  let seen_qgate_checks = ref 0 and seen_qgate_rejections = ref 0 in
-  let sync_cache_counters () =
-    let h = Scoring.cache_hits engine and m = Scoring.cache_misses engine in
-    if h > !seen_hits then begin
-      Metrics.incr ~by:(h - !seen_hits) c_hits;
-      seen_hits := h
-    end;
-    if m > !seen_misses then begin
-      Metrics.incr ~by:(m - !seen_misses) c_misses;
-      seen_misses := m
-    end;
-    let gc = Scoring.gate_checks engine and gr = Scoring.gate_rejections engine in
-    if gc > !seen_gate_checks then begin
-      Metrics.incr ~by:(gc - !seen_gate_checks) c_gate_checks;
-      seen_gate_checks := gc
-    end;
-    if gr > !seen_gate_rejections then begin
-      Metrics.incr ~by:(gr - !seen_gate_rejections) c_gate_rejections;
-      seen_gate_rejections := gr
-    end;
-    match qsig_engine with
-    | None -> ()
-    | Some qe ->
-        let qc = Adprom_qsig.Engine.gate_checks qe
-        and qr = Adprom_qsig.Engine.gate_rejections qe in
-        if qc > !seen_qgate_checks then begin
-          Metrics.incr ~by:(qc - !seen_qgate_checks) c_qgate_checks;
-          seen_qgate_checks := qc
-        end;
-        if qr > !seen_qgate_rejections then begin
-          Metrics.incr ~by:(qr - !seen_qgate_rejections) c_qgate_rejections;
-          seen_qgate_rejections := qr
-        end
+  (* engines count monotonically; each sync adds to the named counter
+     what the engine's count gained since the last one *)
+  let mirror name get =
+    let counter = Metrics.counter metrics name in
+    let seen = ref 0 in
+    fun () ->
+      let v = get () in
+      if v > !seen then begin
+        Metrics.incr ~by:(v - !seen) counter;
+        seen := v
+      end
   in
+  let syncs =
+    [
+      mirror "adprom_score_cache_hits_total" (fun () -> Scoring.cache_hits engine);
+      mirror "adprom_score_cache_misses_total" (fun () ->
+          Scoring.cache_misses engine);
+      mirror "adprom_dfa_gate_checks_total" (fun () -> Scoring.gate_checks engine);
+      mirror "adprom_dfa_gate_rejections_total" (fun () ->
+          Scoring.gate_rejections engine);
+    ]
+    @
+    match qsig_engine with
+    | None -> []
+    | Some qe ->
+        [
+          mirror "adprom_qsig_gate_checks_total" (fun () ->
+              Adprom_qsig.Engine.gate_checks qe);
+          mirror "adprom_qsig_gate_rejections_total" (fun () ->
+              Adprom_qsig.Engine.gate_rejections qe);
+        ]
+  in
+  let sync_cache_counters () = List.iter (fun sync -> sync ()) syncs in
   let leak_capability session =
     match Hashtbl.find_opt fired_sinks session with
     | None -> None
@@ -272,7 +264,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
             "incident"
   in
   let handle deq_ns = function
-    | Event ({ Codec.session; event }, enq_ns) ->
+    | Event ({ Transport.session; event }, enq_ns) ->
         Metrics.observe h_queue_wait (ns_to_s (Int64.sub deq_ns enq_ns));
         if not (Hashtbl.mem shed_here session) then begin
           (match event.Runtime.Collector.symbol with
@@ -306,7 +298,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
               Metrics.incr c_scorer_errors);
           Metrics.observe h_latency (Unix.gettimeofday () -. t0)
         end
-    | Query ({ Codec.q_session = session; rows; sql }, enq_ns) -> (
+    | Query ({ Transport.q_session = session; rows; sql }, enq_ns) -> (
         Metrics.observe h_queue_wait (ns_to_s (Int64.sub deq_ns enq_ns));
         match qsig_engine with
         | None -> ()
@@ -437,6 +429,32 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
 
 let default_ring_capacity = 256
 
+(* Vet the profile against the program before any domain spawns:
+   under [Enforce] a failing profile raises here (no workers to tear
+   down yet); under [Warn] findings are logged and counted. *)
+let vet ~metrics policy ?automaton profile analysis =
+  let module Diag = Analysis.Diag in
+  let diags = Adprom.Profile_check.apply policy ?automaton profile analysis in
+  let errors = List.length (Diag.errors diags) in
+  let warnings = List.length (Diag.warnings diags) in
+  let c_err = Metrics.counter metrics "adprom_profile_vet_errors_total" in
+  let c_warn = Metrics.counter metrics "adprom_profile_vet_warnings_total" in
+  if errors > 0 then Metrics.incr ~by:errors c_err;
+  if warnings > 0 then Metrics.incr ~by:warnings c_warn;
+  List.iter
+    (fun d ->
+      let level =
+        match d.Diag.severity with
+        | Diag.Error -> Olog.Warn
+        | Diag.Warning -> Olog.Info
+        | Diag.Hint -> Olog.Debug
+      in
+      if Olog.enabled level then
+        Olog.emit level ~scope:"daemon"
+          ~fields:[ ("code", Olog.Str d.Diag.code) ]
+          (Diag.to_string d))
+    diags
+
 let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
     ?(ring_capacity = default_ring_capacity) ?metrics ?alerts ?vet_against
     ?(vet_policy = Adprom.Profile_check.Warn) ?(static_gate = Gate_explain)
@@ -448,47 +466,14 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let alerts = match alerts with Some a -> a | None -> Alerts.create () in
   (* The call-sequence automaton is built once, before any domain
-     spawns; workers load the compiled DFA into their engines. *)
-  let static_auto =
+     spawns; workers compile the DFA into their engines. *)
+  let static_dfa =
     match (vet_against, static_gate) with
     | Some analysis, (Gate_explain | Gate_enforce) ->
         Some (Adprom.Profile_check.automaton profile analysis)
     | Some _, Gate_off | None, _ -> None
   in
-  (* Vet the profile against the program before any domain spawns:
-     under [Enforce] a failing profile raises here (no workers to tear
-     down yet); under [Warn] findings are logged and counted. *)
-  let static_pairs =
-    match vet_against with
-    | None -> None
-    | Some analysis ->
-        let module Diag = Analysis.Diag in
-        let diags =
-          Adprom.Profile_check.apply vet_policy ?automaton:static_auto profile
-            analysis
-        in
-        let errors = List.length (Diag.errors diags) in
-        let warnings = List.length (Diag.warnings diags) in
-        let c_err = Metrics.counter metrics "adprom_profile_vet_errors_total" in
-        let c_warn = Metrics.counter metrics "adprom_profile_vet_warnings_total" in
-        if errors > 0 then Metrics.incr ~by:errors c_err;
-        if warnings > 0 then Metrics.incr ~by:warnings c_warn;
-        List.iter
-          (fun d ->
-            let level =
-              match d.Diag.severity with
-              | Diag.Error -> Olog.Warn
-              | Diag.Warning -> Olog.Info
-              | Diag.Hint -> Olog.Debug
-            in
-            if Olog.enabled level then
-              Olog.emit level ~scope:"daemon"
-                ~fields:[ ("code", Olog.Str d.Diag.code) ]
-                (Diag.to_string d))
-          diags;
-        (* Explanations can now name statically impossible pairs. *)
-        Some (Adprom.Profile_check.static_pairs analysis)
-  in
+  Option.iter (vet ~metrics vet_policy ?automaton:static_dfa profile) vet_against;
   (* register the shared series up front so the dump shows them even
      before the first event arrives *)
   ignore (Metrics.counter metrics "adprom_windows_scored_total");
@@ -503,19 +488,23 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
     (Metrics.histogram ~buckets:e2e_buckets metrics
        "adprom_e2e_latency_seconds"
        ~help:"Ingest-to-verdict latency of verdict-completing events");
-  ignore (Metrics.counter metrics "adprom_score_cache_hits_total");
-  ignore (Metrics.counter metrics "adprom_score_cache_misses_total");
-  ignore (Metrics.counter metrics "adprom_scorer_errors_total");
-  ignore (Metrics.counter metrics "adprom_dfa_gate_checks_total");
-  ignore (Metrics.counter metrics "adprom_dfa_gate_rejections_total");
-  ignore (Metrics.counter metrics "adprom_qsig_checks_total");
-  ignore (Metrics.counter metrics "adprom_qsig_anomalies_total");
-  ignore (Metrics.counter metrics "adprom_qsig_gate_checks_total");
-  ignore (Metrics.counter metrics "adprom_qsig_gate_rejections_total");
-  ignore (Metrics.counter metrics "adprom_leak_capable_incidents_total");
-  (* The query axis needs both a mode and a trained profile; workers
-     snapshot the profile before any domain spawns so later mutation by
-     the caller cannot race the checkers. *)
+  List.iter
+    (fun n -> ignore (Metrics.counter metrics n))
+    [
+      "adprom_score_cache_hits_total";
+      "adprom_score_cache_misses_total";
+      "adprom_scorer_errors_total";
+      "adprom_dfa_gate_checks_total";
+      "adprom_dfa_gate_rejections_total";
+      "adprom_qsig_checks_total";
+      "adprom_qsig_anomalies_total";
+      "adprom_qsig_gate_checks_total";
+      "adprom_qsig_gate_rejections_total";
+      "adprom_leak_capable_incidents_total";
+    ];
+  (* The query axis needs both a mode and a trained profile; the profile
+     is snapshotted before any domain spawns so later mutation by the
+     caller cannot race the checkers. *)
   let qsig =
     match (qsig_mode, qsig_profile) with
     | Qsig_off, _ | _, None -> None
@@ -523,20 +512,35 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
         Some (Adprom_qsig.Profile.copy qprofile, qsig_policy_of_mode qsig_mode)
   in
   (* The static query-signature set (the query axis' analogue of the
-     call-sequence DFA) is inferred once before any domain spawns;
-     workers install it into their qsig engines. Inert without both a
-     program to infer from and an active query axis. *)
+     call-sequence DFA) is inferred once before any domain spawns.
+     Inert without both a program to infer from and an active query
+     axis. *)
   let qsig_static =
     match (vet_against, qsig, qsig_static_gate) with
     | Some analysis, Some _, (Gate_explain | Gate_enforce) ->
-        let sq =
-          Analysis.Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs
-        in
+        let sq = Analysis.Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs in
         Some
-          ( sq.Analysis.Qstatic.signatures,
-            sq.Analysis.Qstatic.complete,
-            qsig_static_gate = Gate_enforce )
+          {
+            Adprom_qsig.Engine.signatures = sq.Analysis.Qstatic.signatures;
+            complete = sq.Analysis.Qstatic.complete;
+          }
     | (None, _, _ | _, None, _ | _, _, Gate_off) -> None
+  in
+  let plan =
+    {
+      profile;
+      keep_verdicts;
+      (* explanations can name statically impossible pairs *)
+      static_pairs = Option.map Adprom.Profile_check.static_pairs vet_against;
+      static_dfa;
+      dfa_enforce = static_gate = Gate_enforce;
+      qsig;
+      qsig_static;
+      qsig_enforce = qsig_static_gate = Gate_enforce;
+      leakage;
+      metrics;
+      alerts;
+    }
   in
   let shard_array =
     Array.init shards (fun i ->
@@ -555,16 +559,11 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
   let workers =
     Array.mapi
       (fun idx shard ->
-        Domain.spawn (fun () ->
-            worker ~idx ~profile ~static_pairs ~static_auto
-              ~gate_enforce:(static_gate = Gate_enforce) ~keep_verdicts ~qsig
-              ~qsig_static ~leakage ~metrics ~alerts ~ring:rings.(idx) shard))
+        Domain.spawn (fun () -> worker plan ~idx ~ring:rings.(idx) shard))
       shard_array
   in
   {
-    profile;
     capacity = queue_capacity;
-    keep_verdicts;
     qsig_active = qsig <> None;
     shards = shard_array;
     workers;
@@ -586,21 +585,21 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
 let drop t ev =
   t.dropped <- t.dropped + 1;
   Metrics.incr t.c_dropped;
-  match Hashtbl.find_opt t.shed_at_door ev.Codec.session with
+  match Hashtbl.find_opt t.shed_at_door ev.Transport.session with
   | Some n -> incr n
-  | None -> Hashtbl.replace t.shed_at_door ev.Codec.session (ref 1)
+  | None -> Hashtbl.replace t.shed_at_door ev.Transport.session (ref 1)
 
 let ingest t ev =
   if t.draining then invalid_arg "Daemon.ingest: daemon already drained";
-  if ev.Codec.session < 0 then invalid_arg "Daemon.ingest: negative session id";
+  if ev.Transport.session < 0 then invalid_arg "Daemon.ingest: negative session id";
   t.offered <- t.offered + 1;
   Metrics.incr t.c_offered;
-  if Hashtbl.mem t.shed_at_door ev.Codec.session then begin
+  if Hashtbl.mem t.shed_at_door ev.Transport.session then begin
     drop t ev;
     Rejected { newly_shed = false }
   end
   else begin
-    let shard = t.shards.(shard_of t ev.Codec.session) in
+    let shard = t.shards.(shard_of t ev.Transport.session) in
     Mutex.lock shard.mutex;
     let depth = Queue.length shard.queue in
     if depth >= t.capacity then begin
@@ -609,7 +608,7 @@ let ingest t ev =
          no program run produced (see Core.Sessions). The control
          message is exempt from the bound so the worker can discard the
          session's partial state. *)
-      Queue.add (Shed ev.Codec.session) shard.queue;
+      Queue.add (Shed ev.Transport.session) shard.queue;
       Condition.signal shard.nonempty;
       Mutex.unlock shard.mutex;
       Metrics.incr t.c_shed_sessions;
@@ -627,19 +626,19 @@ let ingest t ev =
     end
   end
 
-let ingest_query t (q : Codec.query) =
+let ingest_query t (q : Transport.query) =
   if t.draining then invalid_arg "Daemon.ingest_query: daemon already drained";
-  if q.Codec.q_session < 0 then
+  if q.Transport.q_session < 0 then
     invalid_arg "Daemon.ingest_query: negative session id";
   if not t.qsig_active then Accepted
-  else if Hashtbl.mem t.shed_at_door q.Codec.q_session then
+  else if Hashtbl.mem t.shed_at_door q.Transport.q_session then
     (* the session is already gone; its queries follow its events out *)
     Rejected { newly_shed = false }
   else begin
     (* Queries are low-volume side traffic (one per DB call, not one
        per library call) and never fabricate call transitions, so they
        are exempt from the shedding bound, like the control message. *)
-    let shard = t.shards.(shard_of t q.Codec.q_session) in
+    let shard = t.shards.(shard_of t q.Transport.q_session) in
     Mutex.lock shard.mutex;
     Queue.add (Query (q, Oclock.monotonic_ns ())) shard.queue;
     Condition.signal shard.nonempty;
@@ -648,8 +647,8 @@ let ingest_query t (q : Codec.query) =
   end
 
 let ingest_item t = function
-  | Codec.Call ev -> ingest t ev
-  | Codec.Query q -> ingest_query t q
+  | Transport.Call ev -> ingest t ev
+  | Transport.Query q -> ingest_query t q
 
 let drain t =
   if t.draining then invalid_arg "Daemon.drain: daemon already drained";

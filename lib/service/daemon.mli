@@ -48,7 +48,8 @@ type gate_mode =
           verdicts stay bit-for-bit identical to [Gate_off] *)
   | Gate_enforce
       (** DFA-rejected windows short-circuit to an anomalous verdict
-          with no forward pass ({!Adprom.Scoring.set_gate_enforce}) *)
+          with no forward pass (the [gate_enforce] of
+          {!Adprom.Scoring.create}) *)
 
 val gate_mode_to_string : gate_mode -> string
 
@@ -87,7 +88,11 @@ val create :
   ?leakage:(int * string) list ->
   Adprom.Profile.t ->
   t
-(** Spawn the worker domains. Defaults: 4 shards, queue capacity 4096,
+(** Spawn the worker domains. This is the one place the detection
+    options are declared: {!Replay.run_items} and {!Server.serve} take
+    the daemon it returns. Everything the options imply is settled
+    before the first domain spawns and is fixed for the daemon's
+    lifetime. Defaults: 4 shards, queue capacity 4096,
     verdicts kept, 256 recent events retained per shard. The profile is
     shared read-only across domains. [queue_capacity 0] sheds every
     session on arrival (useful for testing the overload path). Also
@@ -100,12 +105,12 @@ val create :
     [vet_policy] (default [Warn]: findings are logged with scope
     [daemon] and counted as [adprom_profile_vet_{errors,warnings}_total];
     [Enforce] refuses a profile with error-class findings). It also
-    loads the statically possible pairs into every worker engine, so
+    compiles the statically possible pairs into every worker engine, so
     incident explanations can name [statically-impossible-pair] gates.
 
     With [vet_against] and [static_gate] (default [Gate_explain]), the
     program's call-sequence automaton ({!Analysis.Seqauto}) is compiled
-    once before the domains spawn, loaded into every worker engine, and
+    once before the domains spawn, given to every worker engine, and
     used for the vet's n-gram coverage cross-check. DFA walks and
     rejections are exported as [adprom_dfa_gate_checks_total] /
     [adprom_dfa_gate_rejections_total] (their ratio is the gate hit
@@ -125,8 +130,8 @@ val create :
     analogue of [static_gate]: with [vet_against] and an active query
     axis, the program's statically inferable signature set
     ({!Analysis.Qstatic}) is computed once before the domains spawn and
-    loaded into every worker's qsig engine
-    ({!Adprom_qsig.Engine.set_static_signatures}). Gate traffic is
+    compiled into every worker's qsig engine
+    ([static_signatures] of {!Adprom_qsig.Engine.create}). Gate traffic is
     exported as [adprom_qsig_gate_checks_total] /
     [adprom_qsig_gate_rejections_total]. Under [Gate_explain] query
     verdicts stay bit-for-bit identical to [Gate_off]; under
@@ -147,13 +152,13 @@ val create :
     @raise Invalid_argument on [shards < 1], a negative capacity, or a
     profile failing vet under [Enforce]. *)
 
-val ingest : t -> Codec.event -> admission
+val ingest : t -> Transport.event -> admission
 (** Route one event (not thread-safe: one acceptor thread). [Rejected]
     is the explicit backpressure signal; [newly_shed] marks the
     admission that tripped the overload policy.
     @raise Invalid_argument after {!drain} or on a negative session id. *)
 
-val ingest_query : t -> Codec.query -> admission
+val ingest_query : t -> Transport.query -> admission
 (** Route one executed-query record to its session's shard. A no-op
     [Accepted] when the query axis is off; [Rejected] only when the
     session was already shed (queries are exempt from the shedding
@@ -161,7 +166,7 @@ val ingest_query : t -> Codec.query -> admission
     transitions).
     @raise Invalid_argument after {!drain} or on a negative session id. *)
 
-val ingest_item : t -> Codec.item -> admission
+val ingest_item : t -> Transport.item -> admission
 (** {!ingest} or {!ingest_query} by the wire line's kind. *)
 
 val drain : t -> summary

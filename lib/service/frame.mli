@@ -41,10 +41,6 @@ val magic : string
 (** The two magic bytes every frame starts with — also how
     {!detect} tells a binary record file from a text one. *)
 
-val max_payload : int
-(** Upper bound on a frame's payload length; longer frames are
-    rejected as {!error.Frame_too_large} before any allocation. *)
-
 type node_summary = {
   node : string;  (** the node's self-chosen name *)
   summary : Daemon.summary;
@@ -99,6 +95,8 @@ type error =
   | Bad_version of int
   | Bad_frame_type of int
   | Frame_too_large of { length : int; limit : int }
+      (** payload longer than {!Transport.max_payload}, rejected
+          before any allocation *)
   | Bad_payload of { frame : string; reason : string }
   | Truncated of { pending : int }
       (** EOF with [pending] bytes of an incomplete frame buffered *)

@@ -1,9 +1,10 @@
-(** End-to-end stream replay: feed a multi-tenant tagged event stream
-    (the {!Codec} wire format, or a {!Adprom.Sessions.interleave}d host
-    stream — same type) through a fresh {!Daemon} and collect the
-    summary, timing, metrics and incidents. Also the referee for the
-    daemon's correctness claim: surviving sessions must score exactly
-    like batch [Detector.monitor] on the demultiplexed traces. *)
+(** End-to-end stream replay: feed a multi-tenant stream of wire items
+    ({!Transport.item}s decoded from either wire, or an
+    {!Adprom.Sessions.interleave}d host stream wrapped in
+    {!Transport.Call}) through a {!Daemon} and collect the summary,
+    timing, metrics and incidents. Also the referee for the daemon's
+    correctness claim: surviving sessions must score exactly like batch
+    [Detector.monitor] on the demultiplexed traces. *)
 
 type outcome = {
   summary : Daemon.summary;
@@ -15,62 +16,17 @@ type outcome = {
           from the per-shard rings — what the CLI prints on request *)
 }
 
-val run :
-  ?shards:int ->
-  ?queue_capacity:int ->
-  ?keep_verdicts:bool ->
-  ?metrics:Metrics.t ->
-  ?alerts:Alerts.t ->
-  ?vet_against:Analysis.Analyzer.t ->
-  ?vet_policy:Adprom.Profile_check.policy ->
-  ?static_gate:Daemon.gate_mode ->
-  ?qsig_mode:Daemon.qsig_mode ->
-  ?qsig_profile:Adprom_qsig.Profile.t ->
-  ?qsig_static_gate:Daemon.gate_mode ->
-  ?leakage:(int * string) list ->
-  Adprom.Profile.t ->
-  Codec.event array ->
-  outcome
-(** [vet_against]/[vet_policy]/[static_gate]/[leakage] are passed through to
-    {!Daemon.create}: the profile is vetted against the program's static
-    analysis (and, under [Gate_explain]/[Gate_enforce], its
-    call-sequence automaton is loaded into the workers) before replay
-    starts. [qsig_mode]/[qsig_profile] likewise arm the query axis —
-    inert on a pure event stream; use {!run_items} or {!of_text} for
-    mixed streams. [qsig_static_gate] arms the query axis' static
-    signature gate (needs [vet_against] and an armed query axis). *)
+val run_items : Daemon.t -> Transport.item array -> outcome
+(** Ingest every item into the daemon, then drain it and return its
+    outcome. The daemon carries every detection option ({!Daemon.create});
+    it is drained here and cannot be used afterwards. With the query
+    axis off, query items are accepted and ignored, so a mixed stream
+    yields bit-for-bit the verdicts of its call events alone. *)
 
-val run_items :
-  ?shards:int ->
-  ?queue_capacity:int ->
-  ?keep_verdicts:bool ->
-  ?metrics:Metrics.t ->
-  ?alerts:Alerts.t ->
-  ?vet_against:Analysis.Analyzer.t ->
-  ?vet_policy:Adprom.Profile_check.policy ->
-  ?static_gate:Daemon.gate_mode ->
-  ?qsig_mode:Daemon.qsig_mode ->
-  ?qsig_profile:Adprom_qsig.Profile.t ->
-  ?qsig_static_gate:Daemon.gate_mode ->
-  ?leakage:(int * string) list ->
-  Adprom.Profile.t ->
-  Codec.item array ->
-  outcome
-(** {!run} over a mixed call-event/executed-query stream. *)
-
-val of_text :
-  ?shards:int ->
-  ?queue_capacity:int ->
-  ?keep_verdicts:bool ->
-  ?qsig_mode:Daemon.qsig_mode ->
-  ?qsig_profile:Adprom_qsig.Profile.t ->
-  Adprom.Profile.t ->
-  string ->
-  (outcome, string) result
-(** Decode the wire text first; [Error "line N: ..."] on a bad line.
-    With [qsig_mode] off (the default) query lines are skipped at
-    decode, so outcomes are bit-for-bit the pre-qsig ones; otherwise
-    the mixed stream is replayed through the armed daemon. *)
+val finish : Daemon.t -> started:float -> outcome
+(** Drain the daemon and package its outcome; [seconds] counts from
+    [started] (a [Unix.gettimeofday] reading). What {!run_items} and
+    {!Server.serve} end with. *)
 
 val throughput : outcome -> float
 (** Ingested events per second. *)
@@ -83,7 +39,7 @@ type mismatch = {
 }
 
 val verify_against_batch :
-  Adprom.Profile.t -> Codec.event array -> Daemon.summary -> mismatch list
+  Adprom.Profile.t -> Transport.event array -> Daemon.summary -> mismatch list
 (** Compare each surviving session's live verdict flags against the
     batch detection loop on the demuxed stream; [[]] means the daemon
     reproduced batch detection exactly. Requires [keep_verdicts]. *)

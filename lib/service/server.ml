@@ -113,20 +113,16 @@ let incidents_json ~node ~limit alerts =
       ("incidents", "[" ^ String.concat "," (List.map render tail) ^ "]");
     ]
 
-let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) ?shards
-    ?queue_capacity ?keep_verdicts ?metrics ?alerts ?vet_against ?vet_policy
-    ?static_gate ?qsig_mode ?qsig_profile ?qsig_static_gate ?leakage profile =
-  if version < 1 || version > Frame.protocol_version then
-    invalid_arg "Server.serve: unsupported protocol version";
+let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) daemon =
+  if version < 1 || version > Frame.protocol_version then begin
+    (* the caller handed the daemon over: drain it on refusal too *)
+    ignore (Daemon.drain daemon);
+    invalid_arg "Server.serve: unsupported protocol version"
+  end;
   (* a reply to a client that already hung up must raise EPIPE (handled
      per connection below), not deliver a process-killing SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let daemon =
-    Daemon.create ?shards ?queue_capacity ?keep_verdicts ~metrics ?alerts
-      ?vet_against ?vet_policy ?static_gate ?qsig_mode ?qsig_profile
-      ?qsig_static_gate ?leakage profile
-  in
+  let metrics = Daemon.metrics daemon in
   let c_conns = Metrics.counter metrics "adprom_wire_connections_total" in
   let c_frames = Metrics.counter metrics "adprom_wire_frames_total" in
   let c_bytes = Metrics.counter metrics "adprom_wire_bytes_total" in
@@ -428,12 +424,15 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) ?shards
         | exception Unix.Unix_error (EINTR, _, _) -> ());
         loop ()
   in
-  loop ();
-  let summary =
-    Adprom_obs.Trace.with_span "daemon.drain" (fun () -> Daemon.drain daemon)
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  let alerts = Daemon.alerts daemon in
+  (match loop () with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try ignore (Daemon.drain daemon) with Invalid_argument _ -> ());
+      List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
+      Printexc.raise_with_backtrace e bt);
+  let outcome = Replay.finish daemon ~started:t0 in
+  let summary = outcome.Replay.summary and alerts = outcome.Replay.alerts in
   let node_summary =
     {
       Frame.node = name;
@@ -460,10 +459,4 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) ?shards
       close_conn c)
   | None -> ());
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
-  {
-    Replay.summary;
-    seconds;
-    metrics;
-    alerts;
-    events_tail = Daemon.recent_events daemon;
-  }
+  outcome

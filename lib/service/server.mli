@@ -39,28 +39,17 @@ val bind : ?backlog:int -> ?host:string -> int -> Unix.file_descr * int
     node, so the parent knows the port without a rendezvous. *)
 
 val serve :
-  socket:Unix.file_descr ->
-  ?name:string ->
-  ?version:int ->
-  ?shards:int ->
-  ?queue_capacity:int ->
-  ?keep_verdicts:bool ->
-  ?metrics:Metrics.t ->
-  ?alerts:Alerts.t ->
-  ?vet_against:Analysis.Analyzer.t ->
-  ?vet_policy:Adprom.Profile_check.policy ->
-  ?static_gate:Daemon.gate_mode ->
-  ?qsig_mode:Daemon.qsig_mode ->
-  ?qsig_profile:Adprom_qsig.Profile.t ->
-  ?qsig_static_gate:Daemon.gate_mode ->
-  ?leakage:(int * string) list ->
-  Adprom.Profile.t ->
-  Replay.outcome
-(** Create the daemon (options as {!Daemon.create}), serve [socket]
-    until a [Bye] frame arrives, then drain and return the node's
-    outcome — the same shape {!Replay.run} yields, so the CLI prints
-    both identically. [name] (default ["node"]) is what the node calls
-    itself in [Hello] and [Summary] frames.
+  socket:Unix.file_descr -> ?name:string -> ?version:int -> Daemon.t -> Replay.outcome
+(** Serve [socket] into the given daemon until a [Bye] frame arrives,
+    then drain it and return the node's outcome — the same shape
+    {!Replay.run_items} yields, so the CLI prints both identically. The
+    daemon carries every detection option ({!Daemon.create}); the node
+    registers its wire counters in the daemon's metrics registry. The
+    daemon is drained on every exit path, refusals and exceptions
+    included, and cannot be used afterwards. A forked node must create
+    its daemon in the child: worker domains do not survive [fork].
+    [name] (default ["node"]) is what the node calls itself in [Hello]
+    and [Summary] frames.
 
     [version] (default {!Frame.protocol_version}) caps the node's wire
     version: the decoder rejects newer-stamped frames and the hello

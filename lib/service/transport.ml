@@ -13,6 +13,14 @@ let item_session = function
   | Call ev -> ev.session
   | Query q -> q.q_session
 
+let calls items =
+  Array.of_seq
+    (Seq.filter_map
+       (function Call ev -> Some ev | Query _ -> None)
+       (Array.to_seq items))
+
+let max_payload = 1 lsl 24
+
 module type S = sig
   val id : string
 
@@ -161,6 +169,16 @@ module Text = struct
             dec.dead <- Some msg;
             Error msg)
 
+  (* A line is bounded like a binary payload: without the cap, a peer
+     that never sends a newline grows [pending] without limit. *)
+  let too_long dec =
+    let msg =
+      Printf.sprintf "line %d: longer than %d bytes" dec.lineno max_payload
+    in
+    Buffer.reset dec.pending;
+    dec.dead <- Some msg;
+    Error msg
+
   let fold dec ?(pos = 0) ?len s ~init ~f =
     match dec.dead with
     | Some e -> Error e
@@ -171,6 +189,8 @@ module Text = struct
           if i >= stop then Ok acc
           else
             match String.index_from_opt s i '\n' with
+            | Some j when j < stop && Buffer.length dec.pending + (j - i) > max_payload ->
+                too_long dec
             | Some j when j < stop ->
                 let line =
                   if Buffer.length dec.pending = 0 then String.sub s i (j - i)
@@ -187,8 +207,12 @@ module Text = struct
                     dec.lineno <- dec.lineno + 1;
                     go acc (j + 1))
             | _ ->
-                Buffer.add_substring dec.pending s i (stop - i);
-                Ok acc
+                if Buffer.length dec.pending + (stop - i) > max_payload then
+                  too_long dec
+                else begin
+                  Buffer.add_substring dec.pending s i (stop - i);
+                  Ok acc
+                end
         in
         go init pos)
 

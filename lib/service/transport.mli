@@ -31,6 +31,14 @@ type item = Call of event | Query of query
 val item_session : item -> int
 (** The session id an item belongs to — the cluster routing key. *)
 
+val calls : item array -> event array
+(** The call events of a mixed stream, in order. *)
+
+val max_payload : int
+(** Upper bound, in bytes, on one wire item's encoding (16 MiB): a
+    binary frame's payload ({!Frame}) or a text line. Longer input is
+    a decode error, raised before it is buffered. *)
+
 module type S = sig
   val id : string
   (** ["text"] or ["binary"] — what [--wire] selects. *)
@@ -96,7 +104,9 @@ val decode_all : (module S) -> string -> (item array, string) result
     [session<TAB>caller<TAB>block<TAB>symbol] for call events (symbol in
     the {!Runtime.Trace_io} encoding), [q<TAB>session<TAB>rows<TAB>sql]
     for executed queries. Blank lines, CRLF endings and [#] comments are
-    tolerated; errors carry 1-based [line N:] prefixes. *)
+    tolerated; errors carry 1-based [line N:] prefixes. A line longer
+    than {!max_payload} bytes is an error, so a peer that never sends a
+    newline cannot grow the decoder's buffer past that bound. *)
 module Text : sig
   include S
 

@@ -5,7 +5,6 @@
    verdicts bit-for-bit), log-file rotation, and the multi-process
    Chrome trace merge. *)
 
-module Codec = Adprom_service.Codec
 module Transport = Adprom_service.Transport
 module Frame = Adprom_service.Frame
 module Server = Adprom_service.Server
@@ -132,7 +131,7 @@ let test_http_endpoints () =
   let profile, _ = Lazy.force fixture in
   let node =
     Cluster.spawn_local ~name:"web" (fun socket ->
-        ignore (Server.serve ~socket ~name:"web" ~shards:2 profile))
+        ignore (Server.serve ~socket ~name:"web" (Daemon.create ~shards:2 profile)))
   in
   let port = node.Cluster.port in
   (* /healthz: a fresh node is healthy, and the body is the Health JSON *)
@@ -318,7 +317,8 @@ let test_version_skew () =
   (* alpha reproduces an old (v1) build; beta speaks the current wire *)
   let node ~version name =
     Cluster.spawn_local ~name (fun socket ->
-        ignore (Server.serve ~socket ~name ~version ~shards:2 profile))
+        ignore
+          (Server.serve ~socket ~name ~version (Daemon.create ~shards:2 profile)))
   in
   let a = node ~version:1 "alpha" and b = node ~version:2 "beta" in
   let peers =
@@ -355,10 +355,28 @@ let test_version_skew () =
   Cluster.wait_local a;
   Cluster.wait_local b;
   let merged = Cluster.merge summaries in
-  let single = Replay.run_items ~shards:2 profile items in
+  let single = Replay.run_items (Daemon.create ~shards:2 profile) items in
   Alcotest.(check bool) "verdicts bit-for-bit across the skew" true
     (List.map session_key single.Replay.summary.Daemon.sessions
     = List.map session_key merged.Frame.summary.Daemon.sessions)
+
+(* The node owns the daemon it is handed: a refused version still drains
+   it, so its worker domains are joined before the refusal propagates. *)
+let test_refused_version_drains () =
+  let profile, _ = Lazy.force fixture in
+  let socket, _ = Server.bind 0 in
+  let daemon = Daemon.create ~shards:1 profile in
+  Fun.protect
+    ~finally:(fun () -> Unix.close socket)
+    (fun () ->
+      Alcotest.check_raises "version refused"
+        (Invalid_argument "Server.serve: unsupported protocol version")
+        (fun () ->
+          ignore
+            (Server.serve ~socket ~version:(Frame.protocol_version + 1) daemon)));
+  Alcotest.check_raises "daemon already drained"
+    (Invalid_argument "Daemon.drain: daemon already drained")
+    (fun () -> ignore (Daemon.drain daemon))
 
 (* --- log rotation ------------------------------------------------------------- *)
 
@@ -451,6 +469,8 @@ let () =
         [
           Alcotest.test_case "new router, old node, verdicts pinned" `Quick
             test_version_skew;
+          Alcotest.test_case "refused version drains the daemon" `Quick
+            test_refused_version_drains;
         ] );
       ( "log",
         [ Alcotest.test_case "file sink rotation" `Quick test_log_rotation ] );

@@ -298,20 +298,19 @@ let mk_event ~caller name =
 let test_codec_mixed_roundtrip () =
   let items =
     [|
-      Service.Codec.Call { Service.Codec.session = 1; event = mk_event ~caller:"main" "read" };
-      Service.Codec.Query
-        { Service.Codec.q_session = 1; rows = 3; sql = "SELECT a FROM t WHERE a = 1" };
-      Service.Codec.Call { Service.Codec.session = 2; event = mk_event ~caller:"main" "printf" };
+      Service.Transport.Call { Service.Transport.session = 1; event = mk_event ~caller:"main" "read" };
+      Service.Transport.Query
+        { Service.Transport.q_session = 1; rows = 3; sql = "SELECT a FROM t WHERE a = 1" };
+      Service.Transport.Call { Service.Transport.session = 2; event = mk_event ~caller:"main" "printf" };
     |]
   in
-  let text = Service.Codec.encode_items items in
-  (match Service.Codec.decode_mixed text with
-  | Error e -> Alcotest.failf "decode_mixed: %s" e
+  let text = Service.Transport.encode_all (module Service.Transport.Text) items in
+  match Service.Transport.decode_all (module Service.Transport.Text) text with
+  | Error e -> Alcotest.failf "decode_all: %s" e
   | Ok items' ->
-      Alcotest.(check bool) "mixed round-trip" true (items = items'));
-  match Service.Codec.decode text with
-  | Error e -> Alcotest.failf "decode skips query lines: %s" e
-  | Ok events -> Alcotest.(check int) "plain decode sees only calls" 2 (Array.length events)
+      Alcotest.(check bool) "mixed round-trip" true (items = items');
+      Alcotest.(check int) "calls sees only calls" 2
+        (Array.length (Service.Transport.calls items'))
 
 let fused_app () = Dataset.Ca_banking.app ()
 
@@ -322,25 +321,27 @@ let test_daemon_query_axis () =
   let qprofile = Adprom.Qsig.profile (Adprom.Pipeline.train_qsig app) in
   let events =
     Array.init 6 (fun i ->
-        Service.Codec.Call
-          { Service.Codec.session = 7; event = mk_event ~caller:"main" (Printf.sprintf "sym%d" i) })
+        Service.Transport.Call
+          { Service.Transport.session = 7; event = mk_event ~caller:"main" (Printf.sprintf "sym%d" i) })
   in
   let items =
     Array.append events
       [|
-        Service.Codec.Query
+        Service.Transport.Query
           {
-            Service.Codec.q_session = 7;
+            Service.Transport.q_session = 7;
             rows = 4000;
             sql = "SELECT id, name, balance FROM clients WHERE id = '1' OR '1' = '1'";
           };
-        Service.Codec.Query
-          { Service.Codec.q_session = 9; rows = 1; sql = "SELECT balance FROM clients WHERE id = 105" };
+        Service.Transport.Query
+          { Service.Transport.q_session = 9; rows = 1; sql = "SELECT balance FROM clients WHERE id = 105" };
       |]
   in
   let outcome =
-    Service.Replay.run_items ~shards:2 ~qsig_mode:Service.Daemon.Qsig_warn
-      ~qsig_profile:qprofile profile items
+    Service.Replay.run_items
+      (Service.Daemon.create ~shards:2 ~qsig_mode:Service.Daemon.Qsig_warn
+         ~qsig_profile:qprofile profile)
+      items
   in
   let report s =
     List.find
@@ -380,11 +381,18 @@ let test_qsig_off_bit_for_bit () =
   let qlines =
     "q\t0\t4000\tSELECT id, name, balance FROM clients WHERE id = '1' OR '1' = '1'\n"
   in
-  let mixed_text = Service.Codec.encode stream ^ qlines in
-  let pure = Service.Replay.run ~shards:2 profile stream in
-  match Service.Replay.of_text ~shards:2 profile mixed_text with
-  | Error e -> Alcotest.failf "of_text: %s" e
-  | Ok off ->
+  let calls = Array.map (fun ev -> Service.Transport.Call ev) stream in
+  let mixed_text =
+    Service.Transport.encode_all (module Service.Transport.Text) calls ^ qlines
+  in
+  let replay items =
+    Service.Replay.run_items (Service.Daemon.create ~shards:2 profile) items
+  in
+  let pure = replay calls in
+  match Service.Transport.decode_all (module Service.Transport.Text) mixed_text with
+  | Error e -> Alcotest.failf "decode_all: %s" e
+  | Ok items ->
+      let off = replay items in
       Alcotest.(check bool)
         "session reports identical with qsig off" true
         (off.Service.Replay.summary.Service.Daemon.sessions

@@ -221,6 +221,9 @@ let gate_setup () =
   in
   (profile, static, traffic)
 
+let static_set (static : Qstatic.result) =
+  { Engine.signatures = static.Qstatic.signatures; complete = static.Qstatic.complete }
+
 let verdicts engine traffic = List.map (fun sql -> Engine.check engine sql) traffic
 
 let test_trained_contained_in_static () =
@@ -232,11 +235,7 @@ let test_trained_contained_in_static () =
 let test_gate_explain_bit_for_bit () =
   let profile, static, traffic = gate_setup () in
   let off = Engine.create profile in
-  let explain = Engine.create profile in
-  Engine.set_static_signatures explain ~complete:static.Qstatic.complete
-    static.Qstatic.signatures;
-  Alcotest.(check bool) "loaded" true (Engine.static_signatures_loaded explain);
-  Alcotest.(check bool) "explain by default" false (Engine.gate_enforced explain);
+  let explain = Engine.create ~static_signatures:(static_set static) profile in
   let v_off = verdicts off traffic and v_explain = verdicts explain traffic in
   Alcotest.(check (list string)) "verdicts bit-for-bit"
     (List.map Engine.verdict_to_string v_off)
@@ -251,10 +250,10 @@ let test_gate_explain_bit_for_bit () =
 let test_gate_enforce_subset_of_strict () =
   let profile, static, traffic = gate_setup () in
   let strict = Engine.create ~policy:Adprom_qsig.Constraints.Strict profile in
-  let enforce = Engine.create ~policy:Adprom_qsig.Constraints.Strict profile in
-  Engine.set_static_signatures enforce ~complete:static.Qstatic.complete
-    static.Qstatic.signatures;
-  Engine.set_gate_enforce enforce true;
+  let enforce =
+    Engine.create ~policy:Adprom_qsig.Constraints.Strict
+      ~static_signatures:(static_set static) ~gate_enforce:true profile
+  in
   List.iter2
     (fun sql (v_strict, v_enforce) ->
       if v_enforce.Engine.anomalous then
@@ -271,36 +270,17 @@ let test_gate_enforce_subset_of_strict () =
 
 let test_gate_incomplete_never_rejects () =
   let profile, _, traffic = gate_setup () in
-  let engine = Engine.create profile in
   (* an incomplete (under-approximating) static set must not reject,
      even under enforce and even when empty *)
-  Engine.set_static_signatures engine ~complete:false [];
-  Engine.set_gate_enforce engine true;
+  let engine =
+    Engine.create
+      ~static_signatures:{ Engine.signatures = []; complete = false }
+      ~gate_enforce:true profile
+  in
   ignore (verdicts engine traffic);
   Alcotest.(check int) "checks counted" (List.length traffic)
     (Engine.gate_checks engine);
   Alcotest.(check int) "no rejections" 0 (Engine.gate_rejections engine)
-
-let test_gate_load_flushes_memo () =
-  let profile, static, _ = gate_setup () in
-  let engine = Engine.create profile in
-  Engine.set_gate_enforce engine true;
-  let sql = "SELECT secret FROM elsewhere WHERE x = 1" in
-  let before = Engine.check engine sql in
-  Alcotest.(check bool) "unknown before the static set loads" true
-    (List.exists
-       (function Engine.Unknown_signature _ -> true | _ -> false)
-       before.Engine.reasons);
-  Engine.set_static_signatures engine ~complete:true static.Qstatic.signatures;
-  let after = Engine.check engine sql in
-  Alcotest.(check bool) "gate-rejected after (memo flushed)" true
-    (after.Engine.reasons
-    = [
-        Engine.Impossible_signature
-          (match before.Engine.reasons with
-          | Engine.Unknown_signature key :: _ -> key
-          | _ -> "");
-      ])
 
 (* --- the banking corpus: complete, contained, and the sqli site found ------- *)
 
@@ -365,8 +345,6 @@ let () =
             test_gate_enforce_subset_of_strict;
           Alcotest.test_case "incomplete never rejects" `Quick
             test_gate_incomplete_never_rejects;
-          Alcotest.test_case "load flushes memo" `Quick
-            test_gate_load_flushes_memo;
         ] );
       ( "corpus",
         [ Alcotest.test_case "banking static profile" `Quick test_banking_static_profile ] );

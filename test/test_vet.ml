@@ -253,11 +253,25 @@ let test_static_pairs_load_into_engine () =
   Alcotest.(check bool) "some static pairs" true (pairs <> []);
   Alcotest.(check bool) "all from main" true
     (List.for_all (fun (caller, _) -> caller = "main") pairs);
-  let engine = Adprom.Scoring.create profile in
-  Alcotest.(check bool) "not loaded yet" false
-    (Adprom.Scoring.static_pairs_loaded engine);
-  Adprom.Scoring.set_static_pairs engine (Some pairs);
-  Alcotest.(check bool) "loaded" true (Adprom.Scoring.static_pairs_loaded engine)
+  (* a known call from a caller the program never has: out of context
+     for the profile, and statically impossible for the program *)
+  let trace = snd (List.hd ds.Pipeline.traces) in
+  let window = profile.Adprom.Profile.params.Adprom.Profile.window in
+  let w = List.hd (Adprom.Window.of_trace ~window trace) in
+  let callers = Array.copy w.Adprom.Window.callers in
+  callers.(0) <- "intruder";
+  let w = { w with Adprom.Window.callers } in
+  let gate engine =
+    match Adprom.Scoring.explain engine w with
+    | Some e -> Adprom.Scoring.gate_to_string e.Adprom.Scoring.gate
+    | None -> "normal"
+  in
+  let sym = Symbol.to_string (Symbol.observable w.Adprom.Window.obs.(0)) in
+  Alcotest.(check string) "without the pairs" (Printf.sprintf "unknown-pair(%s from intruder)" sym)
+    (gate (Adprom.Scoring.create profile));
+  Alcotest.(check string) "with the pairs"
+    (Printf.sprintf "statically-impossible-pair(%s from intruder)" sym)
+    (gate (Adprom.Scoring.create ~static_pairs:pairs profile))
 
 let test_daemon_enforce_rejects_foreign_program () =
   let _, profile = Lazy.force trained in
