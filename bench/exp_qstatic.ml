@@ -7,6 +7,7 @@
 
 module Engine = Adprom_qsig.Engine
 module Qstatic = Analysis.Qstatic
+module Gate = Analysis.Gate
 
 let check_passes () = if !Common.smoke then 50 else 500
 
@@ -43,30 +44,19 @@ let run () =
       (Adprom.Pipeline.collect_outcomes app)
   in
   let engine mode =
-    let static_signatures =
-      match mode with
-      | `Off -> None
-      | `Explain | `Enforce ->
-          Some
-            {
-              Engine.signatures = static.Qstatic.signatures;
-              complete = static.Qstatic.complete;
-            }
-    in
-    Engine.create ?static_signatures ~gate_enforce:(mode = `Enforce)
-      (Adprom.Qsig.profile qsig)
+    Engine.create ~gate:{ Gate.mode; evidence = static } (Adprom.Qsig.profile qsig)
   in
   (* explain must be bit-for-bit: same verdict records on the same traffic *)
-  let e_off = engine `Off and e_explain = engine `Explain in
+  let e_off = engine Gate.Gate_off and e_explain = engine Gate.Gate_explain in
   let bit_for_bit =
     List.for_all
       (fun (sql, rows) ->
         Engine.check ~rows e_off sql = Engine.check ~rows e_explain sql)
       corpus
   in
-  let off_ns = ns_per_check (engine `Off) corpus in
-  let explain_ns = ns_per_check (engine `Explain) corpus in
-  let enforce_ns = ns_per_check (engine `Enforce) corpus in
+  let off_ns = ns_per_check (engine Gate.Gate_off) corpus in
+  let explain_ns = ns_per_check (engine Gate.Gate_explain) corpus in
+  let enforce_ns = ns_per_check (engine Gate.Gate_enforce) corpus in
   let overhead ns = if off_ns > 0.0 then (ns -. off_ns) /. off_ns else 0.0 in
   Printf.printf
     "inference: %d sites, %d signatures, complete=%b (%.1f ms)\n\

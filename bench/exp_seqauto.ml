@@ -10,6 +10,7 @@ module Scoring = Adprom.Scoring
 module Window = Adprom.Window
 module Profile = Adprom.Profile
 module Symbol = Analysis.Symbol
+module Gate = Analysis.Gate
 
 let passes () = if !Common.smoke then 10 else 100
 let tampered_count () = if !Common.smoke then 200 else 2000
@@ -53,11 +54,13 @@ let measure ~name ~profile ~auto ws =
      pass — the comparison isolates the gate, not the memo *)
   let off = Scoring.create ~cache_capacity:0 profile in
   let enf =
-    Scoring.create ~cache_capacity:0 ~static_dfa:auto ~gate_enforce:true profile
+    Scoring.create ~cache_capacity:0
+      ~gate:{ Gate.mode = Gate_enforce; evidence = auto }
+      profile
   in
   let off_ms = time_passes off ws in
   let enforce_ms = time_passes enf ws in
-  let rejected = Scoring.gate_rejections enf / passes () in
+  let rejected = Gate.rejections (Scoring.gate_counter enf) / passes () in
   { workload = name; windows = List.length ws; rejected; off_ms; enforce_ms }
 
 let run () =

@@ -638,11 +638,11 @@ let check_cmd_run profile_path file inputs =
                   Printf.sprintf " (out of context: %s from %s)"
                     (Analysis.Symbol.to_string sym) caller
               | None -> "");
-            match Adprom.Detector.explain ~top:1 profile w with
-            | [ s ] ->
+            match Adprom.Scoring.explain ~top:1 scoring w with
+            | Some { Adprom.Scoring.top = [ c ]; _ } ->
                 Printf.printf "      most surprising: %s from %s (position %d)\n"
-                  (Analysis.Symbol.to_string s.Adprom.Detector.symbol)
-                  s.Adprom.Detector.caller s.Adprom.Detector.position
+                  (Analysis.Symbol.to_string c.Adprom.Scoring.symbol)
+                  c.Adprom.Scoring.caller c.Adprom.Scoring.position
             | _ -> ()
           end)
         verdicts;
@@ -702,16 +702,7 @@ let vet_policy_arg =
            $(b,off), $(b,warn) (log and count findings, serve anyway), or \
            $(b,enforce) (refuse a profile with error-class findings).")
 
-let static_gate_conv =
-  let parse s =
-    match Service.Daemon.gate_mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown static-gate mode %S (off|explain|enforce)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf m -> Format.pp_print_string ppf (Service.Daemon.gate_mode_to_string m) )
+let static_gate_conv = Arg.enum Analysis.Gate.modes
 
 let static_gate_arg =
   Arg.(
@@ -719,8 +710,8 @@ let static_gate_arg =
     & opt static_gate_conv Service.Daemon.Gate_explain
     & info [ "static-gate" ] ~docv:"MODE"
         ~doc:
-          "Call-sequence automaton gate (needs a vetted program): $(b,off) (PR 4 \
-           behaviour), $(b,explain) (load the DFA for explanations and gate metrics, \
+          "Call-sequence automaton gate (needs a vetted program): $(b,off) (no \
+           automaton), $(b,explain) (load the DFA for explanations and gate metrics, \
            verdicts unchanged), or $(b,enforce) (statically impossible windows \
            short-circuit to an anomalous verdict without a forward pass).")
 

@@ -63,38 +63,3 @@ let worst verdicts =
   List.fold_left
     (fun acc v -> if severity v.flag > severity acc then v.flag else acc)
     Normal verdicts
-
-type surprise = {
-  position : int;
-  symbol : Symbol.t;
-  caller : string;
-  surprisal : float;
-}
-
-let explain ?(top = 3) profile window =
-  let w = Profile.prepare profile window in
-  let n = Array.length w.Window.obs in
-  if n = 0 then []
-  else begin
-    let surprisals =
-      match Window.encode ~index:(Symbol.Table.find_opt profile.Profile.obs_index) w with
-      | Some codes -> Hmm.step_surprisals profile.Profile.model codes
-      | None ->
-          (* Unknown symbols dominate; known positions fall back to zero
-             so the unknown ones rank first. *)
-          Array.init n (fun i ->
-              if Symbol.Table.mem profile.Profile.obs_index w.Window.obs.(i) then 0.0
-              else infinity)
-    in
-    let entries =
-      List.init n (fun i ->
-          {
-            position = i;
-            symbol = w.Window.obs.(i);
-            caller = w.Window.callers.(i);
-            surprisal = surprisals.(i);
-          })
-    in
-    let sorted = List.sort (fun a b -> compare b.surprisal a.surprisal) entries in
-    List.filteri (fun i _ -> i < top) sorted
-  end

@@ -51,16 +51,3 @@ val monitor : Profile.t -> Runtime.Collector.trace -> (Window.t * verdict) list
 val worst : verdict list -> flag
 (** Most severe flag of a run ([Data_leak] > [Out_of_context] >
     [Anomalous] > [Normal]); [Normal] for the empty list. *)
-
-type surprise = {
-  position : int;  (** index within the window *)
-  symbol : Analysis.Symbol.t;
-  caller : string;
-  surprisal : float;  (** -log P(symbol | prefix); infinity if unknown *)
-}
-
-val explain : ?top:int -> Profile.t -> Window.t -> surprise list
-(** The most surprising positions of a window, most surprising first
-    (default [top] 3) — what the security administrator looks at when
-    an alarm fires. Symbols outside the alphabet have infinite
-    surprisal and always rank first. *)

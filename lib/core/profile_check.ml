@@ -88,6 +88,8 @@ let check ?entry ?automaton profile analysis =
 let static_pairs ?entry analysis =
   (Vet.facts ?entry analysis.Analysis.Analyzer.cfgs).Vet.pairs
 
+let shown_errors = 5
+
 let apply policy ?entry ?automaton profile analysis =
   match policy with
   | Off -> []
@@ -97,7 +99,10 @@ let apply policy ?entry ?automaton profile analysis =
       match Diag.errors diags with
       | [] -> diags
       | errs ->
+          let more = List.length errs - shown_errors in
           invalid_arg
-            (Printf.sprintf "Profile_check: profile failed vet (%s): %s"
+            (Printf.sprintf "Profile_check: profile failed vet (%s): %s%s"
                (Diag.summary diags)
-               (String.concat "; " (List.map Diag.to_string errs))))
+               (String.concat "; "
+                  (List.map Diag.to_string (List.filteri (fun i _ -> i < shown_errors) errs)))
+               (if more > 0 then Printf.sprintf "; ... and %d more" more else "")))

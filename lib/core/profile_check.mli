@@ -30,7 +30,7 @@ val automaton :
   Analysis.Analyzer.t ->
   Analysis.Seqauto.t
 (** Build the program's call-sequence automaton in the profile's label
-    view, on the pruned CFGs — the form [Scoring.create ~static_dfa]
+    view, on the pruned CFGs — the evidence [Scoring.create ~gate]
     expects and {!coverage}'s n-gram cross-check consumes. *)
 
 val model_bigrams : Profile.t -> Analysis.Symbol.t list list
@@ -74,4 +74,9 @@ val apply :
 (** Run {!check} under the policy. [Off] does nothing and returns [].
     [Warn] returns the diagnostics for the caller to log. [Enforce]
     additionally @raise Invalid_argument when error-class findings
-    exist, naming them. *)
+    exist, with the {!Analysis.Diag.summary} counts and the first
+    {!shown_errors} of them. *)
+
+val shown_errors : int
+(** Error findings an [Enforce] refusal names (5); the rest are
+    counted as [... and N more]. *)

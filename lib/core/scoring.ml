@@ -114,6 +114,8 @@ let cache_clear c =
 
 (* --- the compiled engine ----------------------------------------------- *)
 
+module Gate = Analysis.Gate
+
 type t = {
   profile : Profile.t;
   compiled : Hmm.Compiled.t;
@@ -128,15 +130,14 @@ type t = {
   static_pairs : (string * Symbol.t, unit) Hashtbl.t option;
       (* statically possible pairs (profile label view); explanation
          gating only, never consulted by [classify] *)
-  static_dfa : Analysis.Seqauto.t option;
+  gate : Analysis.Seqauto.t Gate.t option;  (* never under [Gate_off] *)
   dfa_codes : int array;
       (* profile alphabet code -> DFA symbol code; -1 = the automaton
          never emits this symbol (any window containing it is rejected) *)
-  gate_enforce : bool;
-  mutable gate_checks : int;
-  mutable gate_rejections : int;
+  gate_counter : Gate.counter;
   cache : cache;
   code_scratch : (int, int array) Hashtbl.t;  (* per-length, reused *)
+  cid_scratch : (int, int array) Hashtbl.t;
   key_scratch : (int, int array) Hashtbl.t;
 }
 
@@ -164,7 +165,7 @@ let static_pair_table ~use_labels l =
 
 let dfa_code_table profile = function
   | None -> [||]
-  | Some a ->
+  | Some { Gate.evidence = a; _ } ->
       if a.Analysis.Seqauto.use_labels <> profile.Profile.params.Profile.use_labels
       then
         invalid_arg
@@ -176,10 +177,10 @@ let dfa_code_table profile = function
           | None -> -1)
         profile.Profile.alphabet
 
-let create ?(cache_capacity = default_cache_capacity) ?static_pairs ?static_dfa
-    ?(gate_enforce = false) profile =
+let create ?(cache_capacity = default_cache_capacity) ?static_pairs ?gate profile =
   if cache_capacity < 0 then invalid_arg "Scoring.create: negative cache capacity";
   let use_labels = profile.Profile.params.Profile.use_labels in
+  let gate = Gate.active gate in
   let t =
     {
       profile;
@@ -193,13 +194,12 @@ let create ?(cache_capacity = default_cache_capacity) ?static_pairs ?static_dfa
       pair_stride = Array.length profile.Profile.alphabet + 2;
       pair_codes = Hashtbl.create 256;
       static_pairs = Option.map (static_pair_table ~use_labels) static_pairs;
-      static_dfa;
-      dfa_codes = dfa_code_table profile static_dfa;
-      gate_enforce;
-      gate_checks = 0;
-      gate_rejections = 0;
+      gate;
+      dfa_codes = dfa_code_table profile gate;
+      gate_counter = Gate.counter ();
       cache = cache_create cache_capacity;
       code_scratch = Hashtbl.create 4;
+      cid_scratch = Hashtbl.create 4;
       key_scratch = Hashtbl.create 4;
     }
   in
@@ -219,53 +219,13 @@ let create ?(cache_capacity = default_cache_capacity) ?static_pairs ?static_dfa
 
 let profile t = t.profile
 let threshold t = t.threshold
+let gate_counter t = t.gate_counter
 let cache_hits t = t.cache.hits
 let cache_misses t = t.cache.misses
 let cache_len t = Key_tbl.length t.cache.tbl
 let cache_capacity t = t.cache.capacity
 
 let invalidate t = cache_clear t.cache
-
-(* --- the call-sequence automaton gate ----------------------------------- *)
-
-let gate_checks t = t.gate_checks
-let gate_rejections t = t.gate_rejections
-
-(* Walk the window's profile codes through the DFA; [true] = the walk
-   died, i.e. the static phase proved no execution emits this window. *)
-let dfa_walk_dies t dfa codes ~len =
-  let rec go state i =
-    if i >= len then false
-    else
-      let dc = Array.unsafe_get t.dfa_codes (Array.unsafe_get codes i) in
-      if dc < 0 then true
-      else
-        let state' = Analysis.Dfa.step dfa state dc in
-        if state' < 0 then true else go state' (i + 1)
-  in
-  go (Analysis.Dfa.start dfa) 0
-
-(* The enforce-mode gate, consulted by [classify] on the known-symbols
-   path before the memo: rejected windows short-circuit to an anomalous
-   verdict with no forward pass and never enter the memo. *)
-let gate_rejects t codes ~len =
-  match t.static_dfa with
-  | Some a when t.gate_enforce ->
-      t.gate_checks <- t.gate_checks + 1;
-      let r = dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~len in
-      if r then t.gate_rejections <- t.gate_rejections + 1;
-      r
-  | Some _ | None -> false
-
-(* Flag chosen directly (not via the threshold comparison) so a rejected
-   window is anomalous whatever the threshold is. *)
-let gate_verdict ~unknown_pair ~labeled_any =
-  let flag =
-    if labeled_any then Data_leak
-    else if unknown_pair <> None then Out_of_context
-    else Anomalous
-  in
-  { flag; score = neg_infinity; unknown_symbol = false; unknown_pair }
 
 let set_threshold t th =
   if not (Float.equal th t.threshold) then begin
@@ -281,10 +241,62 @@ let scratch_of tbl len =
       Hashtbl.replace tbl len a;
       a
 
-(* Exactly the reference flag decision of [Detector.reference_classify]:
-   [labeled_any] stands for [Window.contains_labeled_output]. *)
-let make_verdict t ~score ~unknown_symbol ~unknown_pair ~labeled_any =
-  let anomalous = score < t.threshold || unknown_symbol || unknown_pair <> None in
+(* A window is [len] entries of a ring array read from [pos], wrapping
+   at the array's length: a stream's ring, or a batch window laid out
+   from 0 in an array of exactly [len]. *)
+let ring_slot a ~pos i =
+  let j = pos + i in
+  let cap = Array.length a in
+  if j >= cap then j - cap else j
+
+(* The window's codes as one array of length [len]: the ring itself
+   when it is already laid out that way, else a scratch copy. *)
+let flat_codes t codes ~pos ~len =
+  if pos = 0 && Array.length codes = len then codes
+  else begin
+    let a = scratch_of t.code_scratch len in
+    for i = 0 to len - 1 do
+      a.(i) <- codes.(ring_slot codes ~pos i)
+    done;
+    a
+  end
+
+(* --- the call-sequence automaton gate ----------------------------------- *)
+
+(* Walk the window's profile codes (all inside the alphabet) through
+   the DFA; [true] = the walk died, i.e. the static phase proved no
+   execution emits this window. *)
+let dfa_walk_dies t dfa codes ~pos ~len =
+  let rec go state i =
+    if i >= len then false
+    else
+      let dc =
+        Array.unsafe_get t.dfa_codes (Array.unsafe_get codes (ring_slot codes ~pos i))
+      in
+      if dc < 0 then true
+      else
+        let state' = Analysis.Dfa.step dfa state dc in
+        if state' < 0 then true else go state' (i + 1)
+  in
+  go (Analysis.Dfa.start dfa) 0
+
+(* The enforce-mode gate, consulted by the verdict core on the
+   known-symbols path before the memo. Explain mode never walks here:
+   {!explain} does, once per explained window. *)
+let gate_rejects t codes ~pos ~len =
+  match t.gate with
+  | Some g when Gate.enforcing g ->
+      Gate.decide t.gate_counter g
+        ~impossible:(dfa_walk_dies t g.Gate.evidence.Analysis.Seqauto.dfa codes ~pos ~len)
+  | Some _ | None -> false
+
+(* Exactly the reference flag decision of [Detector.reference_classify]
+   ([labeled_any] stands for [Window.contains_labeled_output]); a
+   gate-[rejected] window is anomalous whatever the threshold is. *)
+let make_verdict ?(rejected = false) t ~score ~unknown_symbol ~unknown_pair ~labeled_any =
+  let anomalous =
+    rejected || score < t.threshold || unknown_symbol || unknown_pair <> None
+  in
   let flag =
     if not anomalous then Normal
     else if labeled_any then Data_leak
@@ -297,6 +309,60 @@ let pair_known t ~caller ~cid ~code ~sym =
   if code >= 0 then Hashtbl.mem t.pair_codes ((cid * t.pair_stride) + code + 1)
   else Profile.known_pair t.profile caller sym
 
+(* The one verdict core, shared by batch [classify] and [Stream]:
+   unknown symbol, then the gate, then the memo, then the forward pass.
+   [codes] and [cids] are rings (see [ring_slot]) of profile codes (-1
+   outside the alphabet) and interned caller ids (read only when
+   callers are tracked); [unknown_pair] is paid only when a verdict is
+   built, never on a memo hit. *)
+let verdict_core t ~codes ~cids ~pos ~len ~unknown ~labeled_any ~unknown_pair =
+  if unknown then
+    (* Symbols outside the alphabet: neg_infinity without a forward
+       pass, and the verdict names the offending symbol, so these
+       windows bypass the memo (codes collide on -1). *)
+    make_verdict t ~score:neg_infinity ~unknown_symbol:true
+      ~unknown_pair:(unknown_pair ()) ~labeled_any
+  else if gate_rejects t codes ~pos ~len then
+    (* rejected windows pay no forward pass and never enter the memo *)
+    make_verdict t ~rejected:true ~score:neg_infinity ~unknown_symbol:false
+      ~unknown_pair:(unknown_pair ()) ~labeled_any
+  else begin
+    let key =
+      if t.track_callers then begin
+        let key = scratch_of t.key_scratch (2 * len) in
+        for i = 0 to len - 1 do
+          let s = ring_slot codes ~pos i in
+          key.(2 * i) <- codes.(s);
+          key.((2 * i) + 1) <- cids.(s)
+        done;
+        key
+      end
+      else flat_codes t codes ~pos ~len
+    in
+    match cache_find t.cache key with
+    | Some v -> v
+    | None ->
+        let flat = if t.track_callers then flat_codes t codes ~pos ~len else key in
+        let score = Hmm.Compiled.per_symbol_score_sub t.compiled flat ~pos:0 ~len in
+        let v =
+          make_verdict t ~score ~unknown_symbol:false ~unknown_pair:(unknown_pair ())
+            ~labeled_any
+        in
+        cache_insert t.cache (Array.copy key) v;
+        v
+  end
+
+let first_unknown_pair t ~obs ~callers ~codes ~cids =
+  let len = Array.length obs in
+  let rec go i =
+    if i >= len then None
+    else
+      let caller = callers.(i) and sym = obs.(i) in
+      if pair_known t ~caller ~cid:cids.(i) ~code:codes.(i) ~sym then go (i + 1)
+      else Some (caller, sym)
+  in
+  if t.track_callers then go 0 else None
+
 let classify t window =
   let w = Profile.prepare t.profile window in
   let obs = w.Window.obs and callers = w.Window.callers in
@@ -308,59 +374,25 @@ let classify t window =
       ~labeled_any:false
   else begin
     let codes = scratch_of t.code_scratch len in
+    let cids = scratch_of t.cid_scratch len in
     let unknown = ref false and labeled_any = ref false in
     for i = 0 to len - 1 do
       let sym = obs.(i) in
-      match Symbol.Table.find t.profile.Profile.obs_index sym with
-      | code ->
-          codes.(i) <- code;
-          if t.labeled.(code) then labeled_any := true
-      | exception Not_found ->
-          codes.(i) <- -1;
-          unknown := true;
-          if Symbol.is_labeled sym then labeled_any := true
-    done;
-    let rec first_unknown_pair i =
-      if i >= len then None
-      else
-        let caller = callers.(i) and sym = obs.(i) in
-        let code = codes.(i) in
-        let cid = if code >= 0 then intern_caller t caller else -1 in
-        if pair_known t ~caller ~cid ~code ~sym then first_unknown_pair (i + 1)
-        else Some (caller, sym)
-    in
-    let unknown_pair () = if t.track_callers then first_unknown_pair 0 else None in
-    if !unknown then
-      (* Symbols outside the alphabet: neg_infinity without a forward
-         pass, and the verdict names the offending symbol, so these
-         windows bypass the memo (codes collide on -1). *)
-      make_verdict t ~score:neg_infinity ~unknown_symbol:true
-        ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-    else if gate_rejects t codes ~len then
-      gate_verdict ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-    else begin
-      let key =
-        if t.track_callers then begin
-          let key = scratch_of t.key_scratch (2 * len) in
-          for i = 0 to len - 1 do
-            key.(2 * i) <- codes.(i);
-            key.((2 * i) + 1) <- intern_caller t callers.(i)
-          done;
-          key
-        end
-        else codes
+      let code =
+        match Symbol.Table.find t.profile.Profile.obs_index sym with
+        | code ->
+            if t.labeled.(code) then labeled_any := true;
+            code
+        | exception Not_found ->
+            unknown := true;
+            if Symbol.is_labeled sym then labeled_any := true;
+            -1
       in
-      match cache_find t.cache key with
-      | Some v -> v
-      | None ->
-          let score = Hmm.Compiled.per_symbol_score_sub t.compiled codes ~pos:0 ~len in
-          let v =
-            make_verdict t ~score ~unknown_symbol:false
-              ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-          in
-          cache_insert t.cache (Array.copy key) v;
-          v
-    end
+      codes.(i) <- code;
+      cids.(i) <- (if t.track_callers && code >= 0 then intern_caller t callers.(i) else -1)
+    done;
+    verdict_core t ~codes ~cids ~pos:0 ~len ~unknown:!unknown ~labeled_any:!labeled_any
+      ~unknown_pair:(fun () -> first_unknown_pair t ~obs ~callers ~codes ~cids)
   end
 
 let monitor t trace =
@@ -402,62 +434,60 @@ let gate_to_string = function
   | Statically_impossible_window -> "statically-impossible-window"
   | Below_threshold -> "below-threshold"
 
+(* The prepared window's profile codes; [None] when a symbol is outside
+   the alphabet (and, as in the reference, for the empty window). *)
+let encode t w = Window.encode ~index:(Symbol.Table.find_opt t.profile.Profile.obs_index) w
+
+let ranked ~top t w codes =
+  let n = Array.length w.Window.obs in
+  let surprisals =
+    match codes with
+    | Some codes -> Hmm.step_surprisals t.profile.Profile.model codes
+    | None ->
+        (* unknown symbols dominate: infinite surprisal, known
+           positions fall back to zero so the unknowns rank first *)
+        Array.init n (fun i ->
+            if Symbol.Table.mem t.profile.Profile.obs_index w.Window.obs.(i) then 0.0
+            else infinity)
+  in
+  List.init n (fun i ->
+      {
+        position = i;
+        symbol = w.Window.obs.(i);
+        caller = w.Window.callers.(i);
+        surprisal = surprisals.(i);
+      })
+  |> List.stable_sort (fun a b -> compare b.surprisal a.surprisal)
+  |> List.filteri (fun i _ -> i < top)
+
+let contributions ?(top = 3) t window =
+  let w = Profile.prepare t.profile window in
+  ranked ~top t w (encode t w)
+
 let explain ?(top = 3) t window =
+  let rejections_before = Gate.rejections t.gate_counter in
   let v = classify t window in
   if v.flag = Normal then None
   else begin
     let w = Profile.prepare t.profile window in
-    let n = Array.length w.Window.obs in
-    let surprisals =
-      if n = 0 then [||]
-      else
-        match
-          Window.encode ~index:(Symbol.Table.find_opt t.profile.Profile.obs_index) w
-        with
-        | Some codes -> Hmm.step_surprisals t.profile.Profile.model codes
-        | None ->
-            (* unknown symbols dominate: infinite surprisal, known
-               positions fall back to zero so the unknowns rank first *)
-            Array.init n (fun i ->
-                if Symbol.Table.mem t.profile.Profile.obs_index w.Window.obs.(i)
-                then 0.0
-                else infinity)
-    in
-    let entries =
-      List.init n (fun i ->
-          {
-            position = i;
-            symbol = w.Window.obs.(i);
-            caller = w.Window.callers.(i);
-            surprisal = surprisals.(i);
-          })
-    in
-    let sorted =
-      List.stable_sort (fun a b -> compare b.surprisal a.surprisal) entries
-    in
-    (* Walk the prepared window through the call-sequence automaton:
-       [true] = no execution of the program can emit this sequence.
-       Counted into the gate counters — in explain-only deployments this
-       is where the automaton is consulted at all. *)
+    let codes = encode t w in
+    (* Did the automaton prove this window impossible? Only asked once
+       every symbol and pair is known, and answered by one walk per
+       explained window: under enforce the [classify] above already
+       walked it and counted a rejection exactly when the walk died;
+       under explain this is where the automaton is consulted at all. *)
     let window_impossible () =
-      match t.static_dfa with
+      match t.gate with
       | None -> false
-      | Some a ->
-          let dfa = a.Analysis.Seqauto.dfa in
-          t.gate_checks <- t.gate_checks + 1;
-          let n = Array.length w.Window.obs in
-          let rec go state i =
-            if i >= n then false
-            else
-              match Analysis.Dfa.sym_code dfa w.Window.obs.(i) with
-              | None -> true
-              | Some c ->
-                  let state' = Analysis.Dfa.step dfa state c in
-                  if state' < 0 then true else go state' (i + 1)
+      | Some g when Gate.enforcing g -> Gate.rejections t.gate_counter > rejections_before
+      | Some g ->
+          let codes = Option.value codes ~default:[||] in
+          let impossible =
+            dfa_walk_dies t g.Gate.evidence.Analysis.Seqauto.dfa codes ~pos:0
+              ~len:(Array.length codes)
           in
-          let r = go (Analysis.Dfa.start dfa) 0 in
-          if r then t.gate_rejections <- t.gate_rejections + 1;
-          r
+          ignore (Gate.decide t.gate_counter g ~impossible);
+          impossible
     in
     let gate =
       if v.unknown_symbol then Unknown_symbol
@@ -486,13 +516,7 @@ let explain ?(top = 3) t window =
           infinity
     in
     Some
-      {
-        gate;
-        verdict = v;
-        exp_threshold = t.threshold;
-        margin;
-        top = List.filteri (fun i _ -> i < top) sorted;
-      }
+      { gate; verdict = v; exp_threshold = t.threshold; margin; top = ranked ~top t w codes }
   end
 
 let float_str f =
@@ -519,8 +543,7 @@ let extend t windows =
   (* Extension keeps the program (and its label view) fixed, so the
      static facts stay valid for the new engine. *)
   let t' =
-    create ~cache_capacity:t.cache.capacity ?static_dfa:t.static_dfa
-      ~gate_enforce:t.gate_enforce (Profile.extend t.profile windows)
+    create ~cache_capacity:t.cache.capacity ?gate:t.gate (Profile.extend t.profile windows)
   in
   { t' with static_pairs = t.static_pairs }
 
@@ -592,74 +615,28 @@ module Stream = struct
   let events_seen st = st.pushed
   let flushed st = st.is_flushed
 
+  let first_unknown_pair st ~pos ~len =
+    let rec go i =
+      if i >= len then None
+      else
+        let s = ring_slot st.s_pair_known ~pos i in
+        if st.s_pair_known.(s) then go (i + 1) else Some (st.s_callers.(s), st.s_syms.(s))
+    in
+    if st.eng.track_callers then go 0 else None
+
   (* Classify the window of the last [len] buffered events, oldest
      first, straight from the int-coded ring. *)
   let classify_last st len =
     let eng = st.eng in
-    let start = st.pushed - len in
-    let slot i = (start + i) mod st.window in
+    let pos = (st.pushed - len) mod st.window in
     let unknown = ref false and labeled_any = ref false in
     for i = 0 to len - 1 do
-      let s = slot i in
+      let s = ring_slot st.s_codes ~pos i in
       if st.s_codes.(s) < 0 then unknown := true;
       if st.s_labeled.(s) then labeled_any := true
     done;
-    let rec first_unknown_pair i =
-      if i >= len then None
-      else
-        let s = slot i in
-        if st.s_pair_known.(s) then first_unknown_pair (i + 1)
-        else Some (st.s_callers.(s), st.s_syms.(s))
-    in
-    let unknown_pair () = if eng.track_callers then first_unknown_pair 0 else None in
-    if !unknown then
-      make_verdict eng ~score:neg_infinity ~unknown_symbol:true
-        ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-    else if
-      (match eng.static_dfa with
-      | Some _ when eng.gate_enforce ->
-          let codes = scratch_of eng.code_scratch len in
-          for i = 0 to len - 1 do
-            codes.(i) <- st.s_codes.(slot i)
-          done;
-          gate_rejects eng codes ~len
-      | Some _ | None -> false)
-    then gate_verdict ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-    else begin
-      let key =
-        if eng.track_callers then begin
-          let key = scratch_of eng.key_scratch (2 * len) in
-          for i = 0 to len - 1 do
-            let s = slot i in
-            key.(2 * i) <- st.s_codes.(s);
-            key.((2 * i) + 1) <- st.s_cids.(s)
-          done;
-          key
-        end
-        else begin
-          let key = scratch_of eng.code_scratch len in
-          for i = 0 to len - 1 do
-            key.(i) <- st.s_codes.(slot i)
-          done;
-          key
-        end
-      in
-      match cache_find eng.cache key with
-      | Some v -> v
-      | None ->
-          let codes = scratch_of eng.code_scratch len in
-          if eng.track_callers then
-            for i = 0 to len - 1 do
-              codes.(i) <- st.s_codes.(slot i)
-            done;
-          let score = Hmm.Compiled.per_symbol_score_sub eng.compiled codes ~pos:0 ~len in
-          let v =
-            make_verdict eng ~score ~unknown_symbol:false
-              ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-          in
-          cache_insert eng.cache (Array.copy key) v;
-          v
-    end
+    verdict_core eng ~codes:st.s_codes ~cids:st.s_cids ~pos ~len ~unknown:!unknown
+      ~labeled_any:!labeled_any ~unknown_pair:(fun () -> first_unknown_pair st ~pos ~len)
 
   let push st (event : Runtime.Collector.event) =
     if st.is_flushed then Error "push after flush: scorer already flushed"

@@ -40,14 +40,13 @@ val default_cache_capacity : int
 val create :
   ?cache_capacity:int ->
   ?static_pairs:(string * Analysis.Symbol.t) list ->
-  ?static_dfa:Analysis.Seqauto.t ->
-  ?gate_enforce:bool ->
+  ?gate:Analysis.Seqauto.t Analysis.Gate.t ->
   Profile.t ->
   t
 (** Compile the profile. [cache_capacity 0] disables the verdict memo
     (every window pays the forward pass).
 
-    The static gates are fixed here, for the engine's lifetime:
+    The static evidence is fixed here, for the engine's lifetime:
 
     - [static_pairs] (e.g. [Profile_check.static_pairs]) are the
       (caller, call) pairs the program can produce, projected through
@@ -55,18 +54,19 @@ val create :
       refines {!Unknown_pair} into {!Statically_impossible_pair} for
       pairs outside the set, while {!classify} verdicts are those of an
       engine without them.
-    - [static_dfa] is an {!Analysis.Seqauto} automaton whose language
+    - [gate] puts an {!Analysis.Seqauto} automaton, whose language
       over-approximates the library-call sequences the program can
-      emit. Without [gate_enforce] (the default, "explain" mode) it
-      only refines {!explain} output ({!Statically_impossible_window})
-      and {!classify} verdicts stay bit-for-bit those of an engine
-      without it. With [gate_enforce], {!classify} walks the window
-      through the DFA {e before} the memo and the forward pass: a
-      rejected window — one the static phase proved no execution can
-      produce — short-circuits to an anomalous verdict
-      ([score = neg_infinity], flag by the usual label/pair evidence)
-      without paying the O(window·n²) pass, and never enters the memo.
-      Without an automaton, [gate_enforce] gates nothing.
+      emit, in front of the model under an {!Analysis.Gate.mode}.
+      [Gate_off] is the ungated engine. Under [Gate_explain] the
+      automaton only refines {!explain} output
+      ({!Statically_impossible_window}) and {!classify} verdicts stay
+      bit-for-bit those of the ungated engine. Under [Gate_enforce]
+      {!classify} walks the window through the DFA {e before} the memo
+      and the forward pass: a rejected window — one the static phase
+      proved no execution can produce — short-circuits to an anomalous
+      verdict ([score = neg_infinity], flag by the usual label/pair
+      evidence) without paying the O(window·n²) pass, and never enters
+      the memo.
 
     @raise Invalid_argument on a negative capacity, or when the
     automaton was built under a different label view than the
@@ -88,12 +88,12 @@ val set_threshold : t -> float -> unit
 (** Override the detection threshold (adaptive monitoring); flushes the
     verdict memo when the value actually changes. *)
 
-val gate_checks : t -> int
-(** DFA walks performed — enforce-mode [classify] gates plus
-    explain-mode window checks. *)
-
-val gate_rejections : t -> int
-(** Walks that died: windows proven statically impossible. *)
+val gate_counter : t -> Analysis.Gate.counter
+(** The automaton gate's checks (DFA walks) and rejections (walks that
+    died: windows proven statically impossible). Under [Gate_enforce]
+    every {!classify} of a window inside the alphabet walks once; under
+    [Gate_explain] only {!explain} walks, once per explained window
+    whose symbols and pairs are all known. *)
 
 val classify : t -> Window.t -> verdict
 (** Score and flag one window; identical to
@@ -125,7 +125,7 @@ type gate =
   | Statically_impossible_window
       (** every symbol and pair is known, but the call-sequence
           automaton proves no execution of the program emits this
-          window in this order — requires [static_dfa] at {!create} *)
+          window in this order — requires a [gate] at {!create} *)
   | Below_threshold  (** HMM likelihood under the detection threshold *)
 
 type contribution = {
@@ -148,13 +148,20 @@ type explanation = {
   top : contribution list;  (** most surprising steps, descending *)
 }
 
+val contributions : ?top:int -> t -> Window.t -> contribution list
+(** The window's steps ranked by surprisal, most surprising first, at
+    most [top] (default 3) — the ranking {!explain} reports, for any
+    window, normal ones included. What the security administrator looks
+    at when an alarm fires. *)
+
 val explain : ?top:int -> t -> Window.t -> explanation option
 (** [None] exactly when {!classify} returns [Normal]. Gate priority:
     [Unknown_symbol] over [Unknown_pair] / [Statically_impossible_pair]
     (the latter when [static_pairs] facts rule the pair out) over
-    [Below_threshold]. [top] (default 3) bounds the ranked
-    contributions. Costs one extra forward pass over the window — only
-    ever paid on anomalies. *)
+    [Statically_impossible_window] over [Below_threshold]. [top]
+    (default 3) bounds the ranked {!contributions}. Costs one extra
+    forward pass over the window — only ever paid on anomalies — and
+    no extra DFA walk under [Gate_enforce]. *)
 
 val gate_to_string : gate -> string
 val explanation_to_string : explanation -> string

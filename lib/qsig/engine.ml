@@ -37,13 +37,7 @@ type compiled = {
   gate_impossible : string option;
 }
 
-type static_signatures = { signatures : string list; complete : bool }
-
-(* The signature set Qstatic inferred for the monitored program. Only a
-   [complete] set (no open call sites) may reject: an open site means
-   the inference lost track of some query text, so absence proves
-   nothing. *)
-type static = { static_set : (string, unit) Hashtbl.t; static_complete : bool }
+module Gate = Analysis.Gate
 
 type t = {
   profile : Profile.t;
@@ -57,17 +51,24 @@ type t = {
   mutable checks : int;
   mutable anomalies : int;
   mutable parse_errors : int;
-  static : static option;
-  gate_enforce : bool;
-  mutable gate_checks : int;
-  mutable gate_rejections : int;
+  gate : Analysis.Qstatic.result Gate.t option;  (** never under [Gate_off] *)
+  static_set : (string, unit) Hashtbl.t;  (** the gate's signatures *)
+  gate_counter : Gate.counter;
 }
 
 let default_memo_capacity = 4096
 
-let create ?(policy = Constraints.Strict) ?(memo_capacity = default_memo_capacity)
-    ?static_signatures ?(gate_enforce = false) profile =
+let create ?(policy = Constraints.Strict) ?(memo_capacity = default_memo_capacity) ?gate
+    profile =
   if memo_capacity < 0 then invalid_arg "Adprom_qsig.Engine.create: negative capacity";
+  let gate = Gate.active gate in
+  let static_set = Hashtbl.create 64 in
+  Option.iter
+    (fun g ->
+      List.iter
+        (fun k -> Hashtbl.replace static_set k ())
+        g.Gate.evidence.Analysis.Qstatic.signatures)
+    gate;
   let keys = Profile.signatures profile in
   let codes = Hashtbl.create (List.length keys * 2) in
   List.iteri (fun i key -> Hashtbl.replace codes key i) keys;
@@ -92,38 +93,31 @@ let create ?(policy = Constraints.Strict) ?(memo_capacity = default_memo_capacit
     checks = 0;
     anomalies = 0;
     parse_errors = 0;
-    static =
-      Option.map
-        (fun { signatures; complete } ->
-          let static_set = Hashtbl.create (List.length signatures * 2) in
-          List.iter (fun k -> Hashtbl.replace static_set k ()) signatures;
-          { static_set; static_complete = complete })
-        static_signatures;
-    gate_enforce;
-    gate_checks = 0;
-    gate_rejections = 0;
+    gate;
+    static_set;
+    gate_counter = Gate.counter ();
   }
 
 let profile t = t.profile
 let policy t = t.policy
 let signature_count t = Array.length t.entries
 
+(* Only a [complete] static set (no open call sites) may reject: an
+   open site means the inference lost track of some query text, so
+   absence proves nothing. *)
 let gate_verdict t key =
-  match t.static with
-  | Some { static_set; static_complete = true }
-    when not (Hashtbl.mem static_set key) ->
+  match t.gate with
+  | Some { Gate.evidence = { Analysis.Qstatic.complete = true; _ }; _ }
+    when not (Hashtbl.mem t.static_set key) ->
       Some key
   | _ -> None
 
 let compile t sql =
   match Sqldb.Sql_parser.parse sql with
-  | exception Sqldb.Sql_parser.Error msg ->
+  | exception (Sqldb.Sql_parser.Error msg | Sqldb.Sql_lexer.Error msg) ->
       t.parse_errors <- t.parse_errors + 1;
       (* Malformed texts are never gate-rejected: they already carry a
          Malformed anomaly and have no canonical signature to test. *)
-      { static_reasons = [ Malformed msg ]; band = None; gate_impossible = None }
-  | exception Sqldb.Sql_lexer.Error msg ->
-      t.parse_errors <- t.parse_errors + 1;
       { static_reasons = [ Malformed msg ]; band = None; gate_impossible = None }
   | stmt -> (
       let widening =
@@ -175,21 +169,23 @@ let lookup t sql =
       end;
       c
 
+let gate_rejects t c =
+  match t.gate with
+  | None -> false
+  | Some g -> Gate.decide t.gate_counter g ~impossible:(c.gate_impossible <> None)
+
 let check ?rows t sql =
   t.checks <- t.checks + 1;
   let c = lookup t sql in
-  if t.static <> None then t.gate_checks <- t.gate_checks + 1;
-  match c.gate_impossible with
-  | Some key when t.gate_enforce ->
+  match (gate_rejects t c, c.gate_impossible) with
+  | true, Some key ->
       (* Enforce short-circuits before the constraint layer: the program
          provably cannot emit this shape, so slot/band detail is moot. *)
-      t.gate_rejections <- t.gate_rejections + 1;
       t.anomalies <- t.anomalies + 1;
       { anomalous = true; reasons = [ Impossible_signature key ] }
-  | gate ->
+  | _ ->
       (* Explain mode counts the would-be rejection but leaves the
          verdict bit-for-bit what the ungated engine produces. *)
-      if gate <> None then t.gate_rejections <- t.gate_rejections + 1;
       let reasons =
         match (rows, c.band) with
         | Some rows, Some band -> (
@@ -215,8 +211,7 @@ let memo_misses t = t.memo_misses
 let memo_len t = Hashtbl.length t.memo
 let invalidate t = Hashtbl.reset t.memo
 
-let gate_checks t = t.gate_checks
-let gate_rejections t = t.gate_rejections
+let gate_counter t = t.gate_counter
 
 module Scorer = struct
   type engine = t

@@ -39,23 +39,14 @@ type t
 val default_memo_capacity : int
 (** 4096 memoized query texts. *)
 
-type static_signatures = {
-  signatures : string list;  (** canonical signature texts *)
-  complete : bool;  (** the inference closed every query site *)
-}
-(** The monitored program's statically inferred signature set
-    ({!Analysis.Qstatic}), the input of the static-signature gate. *)
-
 val create :
   ?policy:Constraints.policy ->
   ?memo_capacity:int ->
-  ?static_signatures:static_signatures ->
-  ?gate_enforce:bool ->
+  ?gate:Analysis.Qstatic.result Analysis.Gate.t ->
   Profile.t ->
   t
 (** Compile the profile under a policy (default [Strict]).
-    [memo_capacity 0] disables the memo. [static_signatures] and
-    [gate_enforce] (default [false], explain mode) fix the
+    [memo_capacity 0] disables the memo. [gate] fixes the
     static-signature gate below for the engine's lifetime.
     @raise Invalid_argument on a negative capacity. *)
 
@@ -83,26 +74,24 @@ val invalidate : t -> unit
 
 (** {2 Static-signature gate}
 
-    The pre-scoring gate over {!Analysis.Qstatic} results, mirroring
-    the [static_dfa] gate of [Adprom.Scoring.create] on the sequence
-    axis. With [static_signatures] given at {!create}, every {!check}
-    counts one gate check and, when the query's canonical signature is
-    provably outside the set, one gate rejection. In explain mode (the
-    default) the verdict is bit-for-bit what the ungated engine returns
-    — only the counters move. With [gate_enforce] the check
-    short-circuits before the constraint layer with an
+    The pre-scoring gate over the monitored program's
+    {!Analysis.Qstatic} result, under the same {!Analysis.Gate} policy
+    as the automaton gate of [Adprom.Scoring.create] on the sequence
+    axis. With a [gate] under [Gate_explain] or [Gate_enforce], every
+    {!check} counts one gate check and, when the query's canonical
+    signature is provably outside the inferred set, one gate rejection.
+    Under [Gate_explain] the verdict is bit-for-bit what the ungated
+    engine returns — only the counters move. Under [Gate_enforce] the
+    check short-circuits before the constraint layer with an
     [Impossible_signature] anomaly.
 
     An incomplete static set ([complete = false] — the inference left an
     open call site) never rejects: absence from an under-approximated
     set proves nothing. Malformed texts are never gate-rejected. *)
 
-val gate_checks : t -> int
-(** Checks performed by an engine created with a static set. *)
-
-val gate_rejections : t -> int
-(** Gate hits — would-be rejections in explain mode, actual anomalies
-    under enforce. *)
+val gate_counter : t -> Analysis.Gate.counter
+(** Gate checks and rejections — would-be rejections under
+    [Gate_explain], actual anomalies under [Gate_enforce]. *)
 
 module Scorer : sig
   (** Per-session streaming checker: one [push] per executed query.

@@ -5,18 +5,9 @@ module Otrace = Adprom_obs.Trace
 module Olog = Adprom_obs.Log
 module Oring = Adprom_obs.Ring
 
-type gate_mode = Gate_off | Gate_explain | Gate_enforce
+module Gate = Analysis.Gate
 
-let gate_mode_to_string = function
-  | Gate_off -> "off"
-  | Gate_explain -> "explain"
-  | Gate_enforce -> "enforce"
-
-let gate_mode_of_string = function
-  | "off" -> Some Gate_off
-  | "explain" -> Some Gate_explain
-  | "enforce" -> Some Gate_enforce
-  | _ -> None
+type gate_mode = Gate.mode = Gate_off | Gate_explain | Gate_enforce
 
 type qsig_mode = Qsig_off | Qsig_warn | Qsig_enforce
 
@@ -97,11 +88,9 @@ type plan = {
   profile : Profile.t;
   keep_verdicts : bool;
   static_pairs : (string * Analysis.Symbol.t) list option;
-  static_dfa : Analysis.Seqauto.t option;
-  dfa_enforce : bool;
+  dfa_gate : Analysis.Seqauto.t Gate.t option;
   qsig : (Adprom_qsig.Profile.t * Adprom_qsig.Constraints.policy) option;
-  qsig_static : Adprom_qsig.Engine.static_signatures option;
-  qsig_enforce : bool;
+  qsig_gate : Analysis.Qstatic.result Gate.t option;
   leakage : (int * string) list;  (* sink block -> leak capability *)
   metrics : Metrics.t;
   alerts : Alerts.t;
@@ -149,8 +138,7 @@ let worker plan ~idx ~ring shard =
   (* one compiled engine per worker domain: every session of this shard
      shares its interned tables and verdict memo *)
   let engine =
-    Scoring.create ?static_pairs:plan.static_pairs ?static_dfa:plan.static_dfa
-      ~gate_enforce:plan.dfa_enforce plan.profile
+    Scoring.create ?static_pairs:plan.static_pairs ?gate:plan.dfa_gate plan.profile
   in
   (* the query axis mirrors the sequence axis: one compiled qsig engine
      per worker (interned signature codes, shared memo), one streaming
@@ -158,8 +146,7 @@ let worker plan ~idx ~ring shard =
   let qsig_engine =
     Option.map
       (fun (qprofile, policy) ->
-        Adprom_qsig.Engine.create ~policy ?static_signatures:plan.qsig_static
-          ~gate_enforce:plan.qsig_enforce qprofile)
+        Adprom_qsig.Engine.create ~policy ?gate:plan.qsig_gate qprofile)
       plan.qsig
   in
   let qsig_scorers : (int, Adprom_qsig.Engine.Scorer.t) Hashtbl.t =
@@ -199,25 +186,26 @@ let worker plan ~idx ~ring shard =
         seen := v
       end
   in
+  (* one gate, one pair: adprom_<axis>_gate_{checks,rejections}_total *)
+  let mirror_gate axis counter =
+    [
+      mirror (Printf.sprintf "adprom_%s_gate_checks_total" axis) (fun () ->
+          Gate.checks counter);
+      mirror (Printf.sprintf "adprom_%s_gate_rejections_total" axis) (fun () ->
+          Gate.rejections counter);
+    ]
+  in
   let syncs =
     [
       mirror "adprom_score_cache_hits_total" (fun () -> Scoring.cache_hits engine);
       mirror "adprom_score_cache_misses_total" (fun () ->
           Scoring.cache_misses engine);
-      mirror "adprom_dfa_gate_checks_total" (fun () -> Scoring.gate_checks engine);
-      mirror "adprom_dfa_gate_rejections_total" (fun () ->
-          Scoring.gate_rejections engine);
     ]
+    @ mirror_gate "dfa" (Scoring.gate_counter engine)
     @
     match qsig_engine with
     | None -> []
-    | Some qe ->
-        [
-          mirror "adprom_qsig_gate_checks_total" (fun () ->
-              Adprom_qsig.Engine.gate_checks qe);
-          mirror "adprom_qsig_gate_rejections_total" (fun () ->
-              Adprom_qsig.Engine.gate_rejections qe);
-        ]
+    | Some qe -> mirror_gate "qsig" (Adprom_qsig.Engine.gate_counter qe)
   in
   let sync_cache_counters () = List.iter (fun sync -> sync ()) syncs in
   let leak_capability session =
@@ -467,13 +455,15 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
   let alerts = match alerts with Some a -> a | None -> Alerts.create () in
   (* The call-sequence automaton is built once, before any domain
      spawns; workers compile the DFA into their engines. *)
-  let static_dfa =
-    match (vet_against, static_gate) with
-    | Some analysis, (Gate_explain | Gate_enforce) ->
-        Some (Adprom.Profile_check.automaton profile analysis)
-    | Some _, Gate_off | None, _ -> None
+  let dfa_gate =
+    Option.bind vet_against (fun analysis ->
+        Gate.arm static_gate (fun () -> Adprom.Profile_check.automaton profile analysis))
   in
-  Option.iter (vet ~metrics vet_policy ?automaton:static_dfa profile) vet_against;
+  Option.iter
+    (vet ~metrics vet_policy
+       ?automaton:(Option.map (fun g -> g.Gate.evidence) dfa_gate)
+       profile)
+    vet_against;
   (* register the shared series up front so the dump shows them even
      before the first event arrives *)
   ignore (Metrics.counter metrics "adprom_windows_scored_total");
@@ -515,16 +505,12 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
      call-sequence DFA) is inferred once before any domain spawns.
      Inert without both a program to infer from and an active query
      axis. *)
-  let qsig_static =
-    match (vet_against, qsig, qsig_static_gate) with
-    | Some analysis, Some _, (Gate_explain | Gate_enforce) ->
-        let sq = Analysis.Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs in
-        Some
-          {
-            Adprom_qsig.Engine.signatures = sq.Analysis.Qstatic.signatures;
-            complete = sq.Analysis.Qstatic.complete;
-          }
-    | (None, _, _ | _, None, _ | _, _, Gate_off) -> None
+  let qsig_gate =
+    match (vet_against, qsig) with
+    | Some analysis, Some _ ->
+        Gate.arm qsig_static_gate (fun () ->
+            Analysis.Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs)
+    | None, _ | _, None -> None
   in
   let plan =
     {
@@ -532,11 +518,9 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
       keep_verdicts;
       (* explanations can name statically impossible pairs *)
       static_pairs = Option.map Adprom.Profile_check.static_pairs vet_against;
-      static_dfa;
-      dfa_enforce = static_gate = Gate_enforce;
+      dfa_gate;
       qsig;
-      qsig_static;
-      qsig_enforce = qsig_static_gate = Gate_enforce;
+      qsig_gate;
       leakage;
       metrics;
       alerts;

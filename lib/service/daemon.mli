@@ -41,20 +41,9 @@ type summary = {
 
 type admission = Accepted | Rejected of { newly_shed : bool }
 
-type gate_mode =
-  | Gate_off  (** no automaton: PR 4 behaviour exactly *)
-  | Gate_explain
-      (** load the DFA for explanations and gate metrics only — classify
-          verdicts stay bit-for-bit identical to [Gate_off] *)
-  | Gate_enforce
-      (** DFA-rejected windows short-circuit to an anomalous verdict
-          with no forward pass (the [gate_enforce] of
-          {!Adprom.Scoring.create}) *)
-
-val gate_mode_to_string : gate_mode -> string
-
-val gate_mode_of_string : string -> gate_mode option
-(** ["off"], ["explain"], ["enforce"]. *)
+type gate_mode = Analysis.Gate.mode = Gate_off | Gate_explain | Gate_enforce
+(** The one static-gate policy of both axes ({!Analysis.Gate}, where
+    its string forms live). *)
 
 type qsig_mode =
   | Qsig_off  (** ignore query lines: pre-qsig behaviour exactly *)
@@ -108,14 +97,21 @@ val create :
     compiles the statically possible pairs into every worker engine, so
     incident explanations can name [statically-impossible-pair] gates.
 
+    The two static gates share one {!Analysis.Gate} policy and one
+    metric pair each, [adprom_<axis>_gate_checks_total] /
+    [adprom_<axis>_gate_rejections_total] (their ratio is the gate hit
+    rate). Under [Gate_explain] verdicts stay bit-for-bit those of
+    [Gate_off]; under [Gate_enforce] an input the evidence proves
+    impossible short-circuits to an anomaly. Each gate's evidence is
+    computed once before the domains spawn and handed to every worker's
+    engine.
+
     With [vet_against] and [static_gate] (default [Gate_explain]), the
-    program's call-sequence automaton ({!Analysis.Seqauto}) is compiled
-    once before the domains spawn, given to every worker engine, and
-    used for the vet's n-gram coverage cross-check. DFA walks and
-    rejections are exported as [adprom_dfa_gate_checks_total] /
-    [adprom_dfa_gate_rejections_total] (their ratio is the gate hit
-    rate). Without [vet_against] there is no program to build the
-    automaton from and [static_gate] is inert.
+    program's call-sequence automaton ({!Analysis.Seqauto}) gates the
+    sequence axis ([gate] of {!Adprom.Scoring.create}, axis [dfa]) and
+    feeds the vet's n-gram coverage cross-check. Without [vet_against]
+    there is no program to build the automaton from and [static_gate]
+    is inert.
 
     With [qsig_mode] (default [Qsig_off]) and [qsig_profile], every
     worker compiles the query-signature profile into an
@@ -127,17 +123,12 @@ val create :
     sequence-axis verdicts are bit-for-bit unaffected by the mode.
 
     [qsig_static_gate] (default [Gate_explain]) is the query axis'
-    analogue of [static_gate]: with [vet_against] and an active query
-    axis, the program's statically inferable signature set
-    ({!Analysis.Qstatic}) is computed once before the domains spawn and
-    compiled into every worker's qsig engine
-    ([static_signatures] of {!Adprom_qsig.Engine.create}). Gate traffic is
-    exported as [adprom_qsig_gate_checks_total] /
-    [adprom_qsig_gate_rejections_total]. Under [Gate_explain] query
-    verdicts stay bit-for-bit identical to [Gate_off]; under
-    [Gate_enforce] a query whose signature the program provably cannot
-    emit short-circuits to an [Impossible_signature] anomaly. Inert
-    without [vet_against] or without [qsig_mode]+[qsig_profile].
+    gate: with [vet_against] and an active query axis, the program's
+    statically inferred signature set ({!Analysis.Qstatic}) gates every
+    worker's qsig engine ([gate] of {!Adprom_qsig.Engine.create}, axis
+    [qsig]); under [Gate_enforce] a query whose signature the program
+    provably cannot emit becomes an [Impossible_signature] anomaly.
+    Inert without [vet_against] or without [qsig_mode]+[qsig_profile].
 
     [leakage] maps labeled sink blocks to their statically-known leak
     capability (rendered {!Analysis.Leakage} atoms, e.g.

@@ -8,7 +8,7 @@
 
 type outcome = {
   summary : Daemon.summary;
-  seconds : float;  (** ingest + drain wall time *)
+  seconds : float;  (** ingest + drain wall time, from the first item on *)
   metrics : Metrics.t;
   alerts : Alerts.t;
   events_tail : Adprom_obs.Log.event list;
@@ -25,8 +25,10 @@ val run_items : Daemon.t -> Transport.item array -> outcome
 
 val finish : Daemon.t -> started:float -> outcome
 (** Drain the daemon and package its outcome; [seconds] counts from
-    [started] (a [Unix.gettimeofday] reading). What {!run_items} and
-    {!Server.serve} end with. *)
+    [started] (a [Unix.gettimeofday] reading) to the end of the drain.
+    What {!run_items} (started before its first item) and
+    {!Server.serve} (started at the node's first admitted item, so idle
+    time before a client connects is left out) end with. *)
 
 val throughput : outcome -> float
 (** Ingested events per second. *)

@@ -136,13 +136,15 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) daemon =
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     conns := List.filter (fun x -> x != c) !conns
   in
-  let ingest_items c items =
-    List.iter
-      (fun it ->
-        ignore (Daemon.ingest_item daemon it);
-        c.ingested <- c.ingested + 1)
-      items
+  (* the outcome's [seconds] count from the first admitted item, not
+     from bind: idle time before a router connects is not scoring time *)
+  let first_admitted = ref None in
+  let admit c it =
+    if Option.is_none !first_admitted then first_admitted := Some (Unix.gettimeofday ());
+    ignore (Daemon.ingest_item daemon it);
+    c.ingested <- c.ingested + 1
   in
+  let ingest_items c items = List.iter (admit c) items in
   let reply enc c frame =
     let out = Buffer.create 64 in
     Frame.Encoder.add enc out frame;
@@ -187,12 +189,8 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) daemon =
             else None
           in
           reply enc c (Frame.Hello { version; peer = name; sample })
-      | Frame.Call ev ->
-          ignore (Daemon.ingest daemon ev);
-          c.ingested <- c.ingested + 1
-      | Frame.Query q ->
-          ignore (Daemon.ingest_query daemon q);
-          c.ingested <- c.ingested + 1
+      | Frame.Call ev -> admit c (Transport.Call ev)
+      | Frame.Query q -> admit c (Transport.Query q)
       | Frame.Metrics_req ->
           reply enc c (Frame.Metrics_resp (Metrics.dump metrics))
       | Frame.Bye -> stop := Some c
@@ -326,9 +324,7 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) daemon =
             close_conn c)
     | Txt dec -> (
         match
-          Transport.Text.fold dec s ~init:() ~f:(fun () it ->
-              ignore (Daemon.ingest_item daemon it);
-              c.ingested <- c.ingested + 1)
+          Transport.Text.fold dec s ~init:() ~f:(fun () it -> admit c it)
         with
         | Ok () -> ()
         | Error _ ->
@@ -431,7 +427,10 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) daemon =
       (try ignore (Daemon.drain daemon) with Invalid_argument _ -> ());
       List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
       Printexc.raise_with_backtrace e bt);
-  let outcome = Replay.finish daemon ~started:t0 in
+  let started =
+    match !first_admitted with Some t -> t | None -> Unix.gettimeofday ()
+  in
+  let outcome = Replay.finish daemon ~started in
   let summary = outcome.Replay.summary and alerts = outcome.Replay.alerts in
   let node_summary =
     {

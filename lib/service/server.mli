@@ -49,7 +49,9 @@ val serve :
     included, and cannot be used afterwards. A forked node must create
     its daemon in the child: worker domains do not survive [fork].
     [name] (default ["node"]) is what the node calls itself in [Hello]
-    and [Summary] frames.
+    and [Summary] frames. The outcome's [seconds] count from the first
+    admitted item, so a node's rate leaves out the idle wait for its
+    router; the [/healthz] uptime counts from the start of serving.
 
     [version] (default {!Frame.protocol_version}) caps the node's wire
     version: the decoder rejects newer-stamped frames and the hello

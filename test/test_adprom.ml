@@ -261,21 +261,24 @@ let test_detector_flags () =
 
 let test_detector_explain () =
   let ds, profile = Lazy.force trained in
+  let engine = Adprom.Scoring.create profile in
   let w = List.hd ds.Pipeline.windows in
   let evil = { Window.obs = Array.copy w.Window.obs; callers = Array.copy w.Window.callers } in
   let pos = Array.length evil.Window.obs - 1 in
   evil.Window.obs.(pos) <- Symbol.lib "evil_call";
-  (match Detector.explain ~top:1 profile evil with
-  | [ s ] ->
-      Alcotest.(check int) "unknown symbol ranked first" pos s.Detector.position;
-      Alcotest.(check bool) "infinite surprisal" true (s.Detector.surprisal = infinity)
-  | _ -> Alcotest.fail "expected one surprise");
+  (match Adprom.Scoring.contributions ~top:1 engine evil with
+  | [ c ] ->
+      Alcotest.(check int) "unknown symbol ranked first" pos c.Adprom.Scoring.position;
+      Alcotest.(check bool) "infinite surprisal" true (c.Adprom.Scoring.surprisal = infinity)
+  | _ -> Alcotest.fail "expected one contribution");
   (* On a normal window, surprisals are finite and sorted. *)
-  match Detector.explain ~top:3 profile w with
-  | (a :: b :: _ : Detector.surprise list) ->
-      Alcotest.(check bool) "sorted descending" true (a.Detector.surprisal >= b.Detector.surprisal);
-      Alcotest.(check bool) "finite on normal data" true (Float.is_finite a.Detector.surprisal)
-  | _ -> Alcotest.fail "expected several surprises"
+  match Adprom.Scoring.contributions ~top:3 engine w with
+  | a :: b :: _ ->
+      Alcotest.(check bool) "sorted descending" true
+        (a.Adprom.Scoring.surprisal >= b.Adprom.Scoring.surprisal);
+      Alcotest.(check bool) "finite on normal data" true
+        (Float.is_finite a.Adprom.Scoring.surprisal)
+  | _ -> Alcotest.fail "expected several contributions"
 
 let test_detector_worst_ordering () =
   let mk flag = { Detector.flag; score = 0.0; unknown_symbol = false; unknown_pair = None } in

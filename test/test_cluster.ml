@@ -676,6 +676,41 @@ let test_two_node_cluster_matches_single () =
   Alcotest.(check bool) "intruder fused both axes" true
     (List.assoc_opt 97 merged.Frame.fused = Some Alerts.Both_axes)
 
+(* A node dates its outcome's [seconds] from its first admitted item:
+   the idle wait for a late router must not dilute the node's rate. *)
+let test_node_seconds_from_first_item () =
+  let profile, _, _ = Lazy.force fixture in
+  let out = Filename.temp_file "adprom-node" ".seconds" in
+  let node =
+    Cluster.spawn_local ~name:"late" (fun socket ->
+        let o = Server.serve ~socket ~name:"late" (Daemon.create ~shards:2 profile) in
+        Out_channel.with_open_text out (fun oc ->
+            Printf.fprintf oc "%.17g\n" o.Replay.seconds))
+  in
+  (* the node's socket is bound before [spawn_local] returns *)
+  let delay = 0.5 in
+  Unix.sleepf delay;
+  let peer = { Cluster.peer_name = "late"; host = "127.0.0.1"; port = node.Cluster.port } in
+  (match Cluster.Router.connect [ peer ] with
+  | Error e -> Alcotest.failf "connect: %s" e
+  | Ok router -> (
+      (match Cluster.Router.send_stream router (cluster_items ()) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %s" e);
+      match Cluster.Router.finish router with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "finish: %s" e));
+  Cluster.wait_local node;
+  let seconds =
+    In_channel.with_open_text out (fun ic ->
+        float_of_string (String.trim (In_channel.input_all ic)))
+  in
+  Sys.remove out;
+  Alcotest.(check bool)
+    (Printf.sprintf "node seconds %.3f below the %.1fs wait before the router" seconds delay)
+    true
+    (seconds >= 0.0 && seconds < delay)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -702,6 +737,12 @@ let () =
           Alcotest.test_case "balanced" `Quick test_ring_balance;
           Alcotest.test_case "minimal remap" `Quick test_ring_minimal_remap;
           Alcotest.test_case "peer addresses" `Quick test_peer_of_string;
+        ] );
+      (* forks a node: runs before any test spawns a domain here *)
+      ( "serve",
+        [
+          Alcotest.test_case "node seconds start at its first item" `Quick
+            test_node_seconds_from_first_item;
         ] );
       ( "cluster",
         [

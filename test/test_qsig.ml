@@ -312,12 +312,16 @@ let test_codec_mixed_roundtrip () =
       Alcotest.(check int) "calls sees only calls" 2
         (Array.length (Service.Transport.calls items'))
 
-let fused_app () = Dataset.Ca_banking.app ()
+(* Banking trains once for both service tests: the training dominates
+   this suite's wall time. *)
+let banking =
+  lazy
+    (let app = Dataset.Ca_banking.app () in
+     let dataset = Adprom.Pipeline.collect app in
+     (app, dataset, Adprom.Pipeline.train dataset))
 
 let test_daemon_query_axis () =
-  let app = fused_app () in
-  let dataset = Adprom.Pipeline.collect app in
-  let profile = Adprom.Pipeline.train dataset in
+  let app, _, profile = Lazy.force banking in
   let qprofile = Adprom.Qsig.profile (Adprom.Pipeline.train_qsig app) in
   let events =
     Array.init 6 (fun i ->
@@ -368,9 +372,7 @@ let test_daemon_query_axis () =
 let test_qsig_off_bit_for_bit () =
   (* the acceptance gate: with the axis off, a mixed stream yields
      byte-identical session reports to the stripped event stream *)
-  let app = fused_app () in
-  let dataset = Adprom.Pipeline.collect app in
-  let profile = Adprom.Pipeline.train dataset in
+  let app, dataset, profile = Lazy.force banking in
   let analysis = dataset.Adprom.Pipeline.analysis in
   let traces =
     List.filteri (fun i _ -> i < 3) app.Adprom.Pipeline.test_cases

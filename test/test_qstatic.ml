@@ -7,6 +7,7 @@
 module Parser = Applang.Parser
 module Cfg_build = Analysis.Cfg_build
 module Qstatic = Analysis.Qstatic
+module Gate = Analysis.Gate
 module Interp = Runtime.Interp
 module Testcase = Runtime.Testcase
 module Engine = Adprom_qsig.Engine
@@ -221,9 +222,6 @@ let gate_setup () =
   in
   (profile, static, traffic)
 
-let static_set (static : Qstatic.result) =
-  { Engine.signatures = static.Qstatic.signatures; complete = static.Qstatic.complete }
-
 let verdicts engine traffic = List.map (fun sql -> Engine.check engine sql) traffic
 
 let test_trained_contained_in_static () =
@@ -235,24 +233,24 @@ let test_trained_contained_in_static () =
 let test_gate_explain_bit_for_bit () =
   let profile, static, traffic = gate_setup () in
   let off = Engine.create profile in
-  let explain = Engine.create ~static_signatures:(static_set static) profile in
+  let explain = Engine.create ~gate:{ Gate.mode = Gate_explain; evidence = static } profile in
   let v_off = verdicts off traffic and v_explain = verdicts explain traffic in
   Alcotest.(check (list string)) "verdicts bit-for-bit"
     (List.map Engine.verdict_to_string v_off)
     (List.map Engine.verdict_to_string v_explain);
   Alcotest.(check bool) "identical records" true (v_off = v_explain);
-  Alcotest.(check int) "off engine: no gate checks" 0 (Engine.gate_checks off);
+  Alcotest.(check int) "off engine: no gate checks" 0 (Gate.checks (Engine.gate_counter off));
   Alcotest.(check int) "every check gated" (List.length traffic)
-    (Engine.gate_checks explain);
+    (Gate.checks (Engine.gate_counter explain));
   (* the impossible shape is counted, the malformed text is not *)
-  Alcotest.(check int) "one would-be rejection" 1 (Engine.gate_rejections explain)
+  Alcotest.(check int) "one would-be rejection" 1 (Gate.rejections (Engine.gate_counter explain))
 
 let test_gate_enforce_subset_of_strict () =
   let profile, static, traffic = gate_setup () in
   let strict = Engine.create ~policy:Adprom_qsig.Constraints.Strict profile in
   let enforce =
     Engine.create ~policy:Adprom_qsig.Constraints.Strict
-      ~static_signatures:(static_set static) ~gate_enforce:true profile
+      ~gate:{ Gate.mode = Gate_enforce; evidence = static } profile
   in
   List.iter2
     (fun sql (v_strict, v_enforce) ->
@@ -274,13 +272,17 @@ let test_gate_incomplete_never_rejects () =
      even under enforce and even when empty *)
   let engine =
     Engine.create
-      ~static_signatures:{ Engine.signatures = []; complete = false }
-      ~gate_enforce:true profile
+      ~gate:
+        {
+          Gate.mode = Gate_enforce;
+          evidence = { Qstatic.sites = []; signatures = []; complete = false };
+        }
+      profile
   in
   ignore (verdicts engine traffic);
   Alcotest.(check int) "checks counted" (List.length traffic)
-    (Engine.gate_checks engine);
-  Alcotest.(check int) "no rejections" 0 (Engine.gate_rejections engine)
+    (Gate.checks (Engine.gate_counter engine));
+  Alcotest.(check int) "no rejections" 0 (Gate.rejections (Engine.gate_counter engine))
 
 (* --- the banking corpus: complete, contained, and the sqli site found ------- *)
 

@@ -9,6 +9,7 @@
 module Seqauto = Analysis.Seqauto
 module Nfa = Analysis.Nfa
 module Dfa = Analysis.Dfa
+module Gate = Analysis.Gate
 module Symbol = Analysis.Symbol
 module Analyzer = Analysis.Analyzer
 module Parser = Applang.Parser
@@ -240,38 +241,45 @@ let prop_nfa_dfa_agree =
 
 (* --- the runtime gate on a trained profile ------------------------------- *)
 
-let fixture =
-  lazy
-    (let app =
-       {
-         Pipeline.name = "seqauto";
-         source =
-           {|
+(* [read] is the program's input call. [gets] is not an interpreter
+   builtin, so runs of the [gets] program stop after its second call;
+   the [scanf] program runs through both loops. *)
+let train_fixture ~read =
+  let app =
+    {
+      Pipeline.name = "seqauto";
+      source =
+        Printf.sprintf
+          {|
              fun main() {
                let db = db_connect("pg");
-               let n = atoi(gets());
+               let n = atoi(%s());
                for (let i = 0; i < n; i = i + 1) {
                  let r = pq_exec(db, "SELECT name FROM t");
                  let k = pq_ntuples(r);
-                 for (let j = 0; j < k; j = j + 1) { printf("%s\n", pq_getvalue(r, j, 0)); }
+                 for (let j = 0; j < k; j = j + 1) { printf("%%s\n", pq_getvalue(r, j, 0)); }
                }
              }
-           |};
-         dbms = "PostgreSQL";
-         setup_db =
-           (fun e ->
-             ignore (Sqldb.Engine.exec e "CREATE TABLE t (name)");
-             ignore (Sqldb.Engine.exec e "INSERT INTO t VALUES ('a'), ('b')"));
-         test_cases =
-           List.init 8 (fun i ->
-               Runtime.Testcase.make
-                 ~input:[ string_of_int (1 + (i mod 4)) ]
-                 (Printf.sprintf "c%d" i));
-       }
-     in
-     let ds = Pipeline.collect app in
-     let profile = Pipeline.train ds in
-     (ds, profile, Profile_check.automaton profile ds.Pipeline.analysis))
+           |}
+          read;
+      dbms = "PostgreSQL";
+      setup_db =
+        (fun e ->
+          ignore (Sqldb.Engine.exec e "CREATE TABLE t (name)");
+          ignore (Sqldb.Engine.exec e "INSERT INTO t VALUES ('a'), ('b')"));
+      test_cases =
+        List.init 8 (fun i ->
+            Runtime.Testcase.make
+              ~input:[ string_of_int (1 + (i mod 4)) ]
+              (Printf.sprintf "c%d" i));
+    }
+  in
+  let ds = Pipeline.collect app in
+  let profile = Pipeline.train ds in
+  (ds, profile, Profile_check.automaton profile ds.Pipeline.analysis)
+
+let fixture = lazy (train_fixture ~read:"gets")
+let looping_fixture = lazy (train_fixture ~read:"scanf")
 
 (* Tampered real windows: position 0 gets an unknown caller (so the
    reference detector is guaranteed to find the window anomalous), and
@@ -303,7 +311,7 @@ let prop_enforce_subset_of_anomalous =
             swaps;
           callers.(0) <- "intruder";
           let w' = { Window.obs; callers } in
-          let eng = Scoring.create ~static_dfa:auto ~gate_enforce:true profile in
+          let eng = Scoring.create ~gate:{ Gate.mode = Gate_enforce; evidence = auto } profile in
           let live = Scoring.classify eng w' in
           let ref_ = Detector.reference_classify profile w' in
           if Seqauto.accepts auto (Array.to_list obs) then
@@ -312,9 +320,143 @@ let prop_enforce_subset_of_anomalous =
             && live.Detector.score = ref_.Detector.score
           else
             (* gate rejects: both sides must call it anomalous *)
-            Scoring.gate_rejections eng > 0
+            Gate.rejections (Scoring.gate_counter eng) > 0
             && live.Detector.flag <> Detector.Normal
             && ref_.Detector.flag <> Detector.Normal)
+
+let gated mode auto profile = Scoring.create ~gate:{ Gate.mode; evidence = auto } profile
+let gate_counts eng = Gate.(checks (Scoring.gate_counter eng), rejections (Scoring.gate_counter eng))
+
+(* A training window played backwards: every symbol and (caller, call)
+   pair is known to the profile, but the automaton rejects the order. *)
+let reversed_window =
+  lazy
+    (let ds, _, auto = Lazy.force looping_fixture in
+     let rev a = Array.of_list (List.rev (Array.to_list a)) in
+     match
+       List.find_opt
+         (fun w -> not (Seqauto.accepts auto (Array.to_list (rev w.Window.obs))))
+         ds.Pipeline.windows
+     with
+     | Some w -> { Window.obs = rev w.Window.obs; callers = rev w.Window.callers }
+     | None -> Alcotest.fail "no training window leaves the language reversed")
+
+let statically_impossible = function
+  | Some e -> e.Scoring.gate = Scoring.Statically_impossible_window
+  | None -> false
+
+(* One walk per classified window: explain under enforce reuses the walk
+   of its own classify instead of walking the window a second time. *)
+let test_gate_counts_one_walk () =
+  let _, profile, auto = Lazy.force looping_fixture in
+  let w = Lazy.force reversed_window in
+  let enforce = gated Gate.Gate_enforce auto profile in
+  ignore (Scoring.classify enforce w);
+  Alcotest.(check bool) "enforce names the window" true
+    (statically_impossible (Scoring.explain enforce w));
+  Alcotest.(check (pair int int)) "enforce: 2 checks, 2 rejections" (2, 2) (gate_counts enforce);
+  let explain = gated Gate.Gate_explain auto profile in
+  ignore (Scoring.classify explain w);
+  Alcotest.(check bool) "explain names the window" true
+    (statically_impossible (Scoring.explain explain w));
+  Alcotest.(check (pair int int)) "explain: 1 check, 1 rejection" (1, 1) (gate_counts explain)
+
+(* The tampering of [prop_enforce_subset_of_anomalous] applied to a
+   whole trace, with the reversed window spliced in so every case fires
+   the gate: an enforcing engine's stream path must reproduce its batch
+   path verdict for verdict, and gate the same windows. *)
+let prop_enforce_stream_equals_batch =
+  QCheck2.Test.make ~name:"enforce: Stream verdicts = batch monitor verdicts" ~count:60
+    QCheck2.Gen.(
+      triple (int_bound 7) (int_bound 1000)
+        (list_size (int_range 0 6) (pair (int_bound 30) (int_bound 30))))
+    (fun (tidx, cut, swaps) ->
+      let ds, profile, auto = Lazy.force looping_fixture in
+      let trace = snd (List.nth ds.Pipeline.traces (tidx mod List.length ds.Pipeline.traces)) in
+      let trace = Array.copy trace in
+      let alpha = profile.Profile.alphabet in
+      let n = Array.length trace in
+      if n > 0 then begin
+        List.iter
+          (fun (pos, sym) ->
+            let e = trace.(pos mod n) in
+            trace.(pos mod n) <-
+              {
+                e with
+                Runtime.Collector.symbol = Symbol.observable alpha.(sym mod Array.length alpha);
+              })
+          swaps;
+        trace.(0) <- { (trace.(0)) with Runtime.Collector.caller = "intruder" }
+      end;
+      let rw = Lazy.force reversed_window in
+      let spliced =
+        Array.mapi
+          (fun i symbol ->
+            { Runtime.Collector.symbol; caller = rw.Window.callers.(i); block = -1 })
+          rw.Window.obs
+      in
+      let cut = if n = 0 then 0 else cut mod n in
+      let trace =
+        Array.concat [ Array.sub trace 0 cut; spliced; Array.sub trace cut (n - cut) ]
+      in
+      let batch_eng = gated Gate.Gate_enforce auto profile in
+      let batch = List.map snd (Scoring.monitor batch_eng trace) in
+      let stream_eng = gated Gate.Gate_enforce auto profile in
+      let st = Scoring.Stream.create stream_eng in
+      let pushed =
+        Array.to_list trace
+        |> List.filter_map (fun ev ->
+               match Scoring.Stream.push st ev with
+               | Ok v -> v
+               | Error e -> failwith e)
+      in
+      let streamed = pushed @ Option.to_list (Scoring.Stream.flush st) in
+      List.length batch = List.length streamed
+      && List.for_all2 (fun a b -> compare a b = 0) batch streamed
+      && gate_counts stream_eng = gate_counts batch_eng
+      && snd (gate_counts stream_eng) > 0)
+
+(* Windows whose symbols and pairs are all known, some reversed out of
+   the language: [explain] names statically-impossible-window exactly
+   when the enforce gate rejects the window — on the enforcing engine
+   itself, and on an explain-mode engine whenever its (ungated) verdict
+   is anomalous at all. *)
+let prop_explain_names_enforce_rejections =
+  QCheck2.Test.make ~name:"explain names the windows enforce rejects" ~count:80
+    QCheck2.Gen.(
+      quad (int_bound 7) (int_bound 1000) bool
+        (list_size (int_range 0 2) (pair (int_bound 30) (int_bound 30))))
+    (fun (tidx, salt, reverse, swaps) ->
+      let ds, profile, auto = Lazy.force looping_fixture in
+      let trace = snd (List.nth ds.Pipeline.traces (tidx mod List.length ds.Pipeline.traces)) in
+      let window = profile.Profile.params.Profile.window in
+      match Window.of_trace ~window trace with
+      | [] -> true
+      | ws ->
+          let w = List.nth ws (salt mod List.length ws) in
+          let obs = Array.copy w.Window.obs and callers = Array.copy w.Window.callers in
+          let alpha = profile.Profile.alphabet in
+          List.iter
+            (fun (pos, sym) ->
+              obs.(pos mod Array.length obs) <-
+                Symbol.observable alpha.(sym mod Array.length alpha))
+            swaps;
+          let rev a = Array.of_list (List.rev (Array.to_list a)) in
+          let w' =
+            if reverse then { Window.obs = rev obs; callers = rev callers }
+            else { Window.obs; callers }
+          in
+          let ref_ = Detector.reference_classify profile w' in
+          if ref_.Detector.unknown_symbol || ref_.Detector.unknown_pair <> None then true
+          else begin
+            let enforce = gated Gate.Gate_enforce auto profile in
+            ignore (Scoring.classify enforce w');
+            let rejected = snd (gate_counts enforce) > 0 in
+            let explain = gated Gate.Gate_explain auto profile in
+            let anomalous = (Scoring.classify explain w').Detector.flag <> Detector.Normal in
+            statically_impossible (Scoring.explain enforce w') = rejected
+            && statically_impossible (Scoring.explain explain w') = (rejected && anomalous)
+          end)
 
 (* On real traces the gate never fires (soundness), so explain mode is
    verdict-identical to off, and enforce still reproduces batch
@@ -375,6 +517,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_trace_soundness;
           QCheck_alcotest.to_alcotest prop_nfa_dfa_agree;
           QCheck_alcotest.to_alcotest prop_enforce_subset_of_anomalous;
+          QCheck_alcotest.to_alcotest prop_enforce_stream_equals_batch;
+          QCheck_alcotest.to_alcotest prop_explain_names_enforce_rejections;
         ] );
       ( "gate",
         [
@@ -382,5 +526,7 @@ let () =
             test_replay_explain_identical;
           Alcotest.test_case "replay: enforce reproduces batch detection" `Quick
             test_replay_enforce_matches_batch;
+          Alcotest.test_case "one walk per explained window" `Quick
+            test_gate_counts_one_walk;
         ] );
     ]

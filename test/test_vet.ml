@@ -245,7 +245,32 @@ let test_profile_check_enforce_rejects_foreign_program () =
     (fun () ->
       match Profile_check.apply Profile_check.Enforce profile foreign with
       | _ -> ()
-      | exception Invalid_argument _ -> raise (Invalid_argument ""))
+      | exception Invalid_argument _ -> raise (Invalid_argument ""));
+  (* the refusal is one readable line: the counts, the first few
+     findings, and how many more were left out *)
+  let diags = Profile_check.check profile foreign in
+  let errs = Diag.errors diags in
+  let msg =
+    match Profile_check.apply Profile_check.Enforce profile foreign with
+    | _ -> Alcotest.fail "Enforce accepted a mismatched program"
+    | exception Invalid_argument msg -> msg
+  in
+  let contains needle =
+    let n = String.length needle and h = String.length msg in
+    let rec probe i = i + n <= h && (String.sub msg i n = needle || probe (i + 1)) in
+    probe 0
+  in
+  Alcotest.(check bool) "names the count" true (contains (Diag.summary diags));
+  Alcotest.(check bool) "names the first finding" true
+    (contains (Diag.to_string (List.hd errs)));
+  let more = List.length errs - Profile_check.shown_errors in
+  Alcotest.(check bool) "more than the shown findings" true (more > 0);
+  Alcotest.(check bool) "counts the rest" true
+    (contains (Printf.sprintf "... and %d more" more));
+  Alcotest.(check bool)
+    (Printf.sprintf "bounded length (%d bytes)" (String.length msg))
+    true
+    (String.length msg < 2048)
 
 let test_static_pairs_load_into_engine () =
   let ds, profile = Lazy.force trained in
